@@ -18,7 +18,7 @@ import sys
 
 from . import (rules_draws, rules_exec, rules_legacy, rules_locks, rules_rng)
 from .findings import Finding, apply_suppressions, collect_suppressions
-from .model import Repo, parse_file
+from .model import Repo, mark_deferred_lambdas, parse_file
 
 CPP_EXTS = (".cpp", ".cc", ".cxx")
 HDR_EXTS = (".hpp", ".hh", ".h", ".hxx")
@@ -110,6 +110,7 @@ def run_analysis(root: str, paths: list[str] | None = None,
             print(f"analyze: cannot read {rel}: {exc}", file=sys.stderr)
             continue
         repo.files[rel] = parse_file(rel, text)
+    mark_deferred_lambdas(repo)
 
     scanned = set(repo.files)
     findings: list[Finding] = []

@@ -10,7 +10,8 @@ repo-wide index:
   * per-function locals (name -> declared type + initializer tokens),
     call sites (with receiver and argument extents), assignments
     (including `x.field = ...` field writes), lambdas (with the enclosing
-    dispatch call, e.g. `parallel_for`, when they are passed to one) and
+    dispatch call, e.g. `parallel_for`, when they are passed to one, and
+    a deferred flag when they are handed to a new std::thread) and
     RAII lock-guard sites with held-interval tracking that honours
     manual `guard.unlock()` / `guard.lock()`;
   * namespace-scope mutable variables (the purity rule's "globals").
@@ -88,6 +89,7 @@ class Lambda:
     intro_tok: int  # index of the '[' token
     params: list[str] = field(default_factory=list)
     dispatch: str | None = None  # callee name when passed to a dispatcher
+    deferred: bool = False  # runs later, on a thread it is handed to
 
 
 @dataclass
@@ -783,6 +785,55 @@ def attach_dispatch_lambdas(fn: Function) -> None:
                     break
 
 
+THREAD_TYPES = {"thread", "jthread"}
+# Container methods that construct (or take) an element from their
+# arguments: a callable passed to one on a container of threads starts a
+# thread.
+_SPAWN_METHODS = {"emplace_back", "push_back", "emplace"}
+
+
+def _declares_thread(fm: FileModel, loc: Local) -> bool:
+    """True when the declaration of `loc` spells std::thread or
+    std::jthread in its type, template arguments included (declared
+    types drop them, so read the tokens back to the statement start)."""
+    i = loc.tok - 1
+    while i >= 0 and not (fm.tokens[i].kind == OP
+                          and fm.tokens[i].text in {";", "{", "}", ":"}):
+        if fm.tokens[i].kind == ID and fm.tokens[i].text in THREAD_TYPES:
+            return True
+        i -= 1
+    return False
+
+
+def mark_deferred_lambdas(repo: Repo) -> None:
+    """Flags every lambda handed to a new thread — through a std::thread
+    constructor, or by emplace_back/push_back into a container of
+    threads. Its body runs later, on that thread, so its calls are not
+    made at the spawning site nor under the locks held there."""
+    for fm in repo.files.values():
+        for fn in fm.functions:
+            if not fn.lambdas:
+                continue
+            spans = [loc.init for loc in fn.locals.values()
+                     if loc.init is not None and _declares_thread(fm, loc)]
+            for call in fn.calls:
+                decl = (repo.declaration(fn, call.recv)
+                        if call.name in _SPAWN_METHODS and call.recv
+                        else None)
+                if call.name in THREAD_TYPES or (
+                        decl is not None and _declares_thread(*decl)):
+                    spans.extend(call.args)
+            for lam in fn.lambdas:
+                if any(lo <= lam.intro_tok < hi for lo, hi in spans):
+                    lam.deferred = True
+
+
+def in_deferred_lambda(fn: Function, tok: int) -> bool:
+    """True when token `tok` of `fn` lies in a lambda handed to a thread."""
+    return any(lam.deferred and lam.body[0] <= tok <= lam.body[1]
+               for lam in fn.lambdas)
+
+
 def compute_guard_intervals(p: _Parser, fn: Function) -> None:
     """Held intervals for each guard: [decl, block-end), split by manual
     guard.unlock()/guard.lock() calls in token order."""
@@ -823,6 +874,21 @@ class Repo:
     def class_named(self, name: str) -> list[ClassInfo]:
         return [fm.classes[name] for fm in self.files.values()
                 if name in fm.classes]
+
+    def declaration(self, fn: Function,
+                    name: str) -> tuple[FileModel, Local] | None:
+        """The local or class member of `fn` named by the head of
+        `name`, with the file that declares it."""
+        head = name.split(".")[0].split("->")[0]
+        loc = fn.locals.get(head)
+        if loc is not None:
+            return self.files[fn.rel], loc
+        if fn.cls:
+            for cls in self.class_named(fn.cls):
+                m = cls.members.get(head)
+                if m is not None and cls.rel in self.files:
+                    return self.files[cls.rel], m
+        return None
 
     def field_assigns(self, field_name: str) -> list[tuple[FileModel,
                                                            Function, Assign]]:

@@ -16,6 +16,10 @@ those we:
   * report `lock-across-dispatch` when a guard is held at a call that
     (transitively) reaches `util::parallel_for` — the worker team would
     contend on, or deadlock against, the caller's lock.
+
+Calls inside a lambda handed to a new thread (model.in_deferred_lambda)
+are not made at the spawning site: they neither run under its locks nor
+join its call-graph closure.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .findings import Finding
-from .model import DISPATCH_NAMES, Function, Guard, MUTEX_TYPES, Repo
+from .model import (DISPATCH_NAMES, Function, Guard, MUTEX_TYPES, Repo,
+                    in_deferred_lambda)
 
 # std methods that must never be treated as repo calls even on a name
 # collision (cv.wait vs. EstimationService::wait, etc.).
@@ -118,6 +123,8 @@ def _transitive(repo: Repo, scanned: set[str],
                 acc = out.setdefault(fn.name, set())
                 before = len(acc)
                 for call in fn.calls:
+                    if in_deferred_lambda(fn, call.tok):
+                        continue
                     for callee in _callee_functions(repo, fn, call):
                         acc |= out.get(callee.name, set())
                 if len(acc) != before:
@@ -167,6 +174,8 @@ def run(repo: Repo, scanned: set[str]) -> list[Finding]:
                                          "a non-recursive mutex)")))
             # Calls made while holding.
             for call in fn.calls:
+                if in_deferred_lambda(fn, call.tok):
+                    continue
                 held_under = [
                     (g, k) for g, k in guards
                     if any(lo <= call.tok < hi for lo, hi in g.held)]

@@ -9,7 +9,10 @@ sanctioned source — `util::derive_seed`, `util::SeedMixer`,
 bottoms out in nothing but literals (or unsanctioned calls) is a
 stealth-constant or ambient seed and is reported — at the construction
 when it is locally wrong, at the *call site* when a caller passes a
-bad value into a seed parameter.
+bad value into a seed parameter.  A seed parameter is one that flows,
+inside its function, into a Xoshiro256ss construction, a splitmix_at
+base or another seed parameter; a field write that shares a seed
+field's name (a loop bound stored as `.base`) makes none.
 
 `rng-purity` — a function that draws randomness (invokes a
 Xoshiro-typed value or `draw_binomial`) must not also touch mutable
@@ -56,9 +59,11 @@ def _expr_tokens(repo_file, lo: int, hi: int):
 
 
 class _Tracer:
-    def __init__(self, repo: Repo):
+    def __init__(self, repo: Repo, seed_params: dict):
         self.repo = repo
         self.problems: list[Finding] = []
+        # (function, parameter) -> is a seed parameter; shared per run.
+        self.seed_params = seed_params
 
     def trace(self, fm, fn: Function | None, lo: int, hi: int,
               depth: int, visited: set) -> bool:
@@ -214,6 +219,12 @@ class _Tracer:
         if key in visited:
             return True
         visited.add(key)
+        seed_key = (fn.qname, pname)
+        if seed_key not in self.seed_params:
+            self.seed_params[seed_key] = self._is_seed_param(fn, pname,
+                                                             set())
+        if not self.seed_params[seed_key]:
+            return True  # not a seed: callers may pass any value
         callers = []
         for cfn in self.repo.functions():
             for call in cfn.calls:
@@ -239,6 +250,62 @@ class _Tracer:
                              "value via util::SeedMixer / "
                              "util::derive_seed")))
         return any_ok
+
+    def _is_seed_param(self, fn: Function, pname: str,
+                       visited: set) -> bool:
+        """True when parameter `pname` of `fn` flows, through fn's local
+        initializers, into a Xoshiro256ss construction (local, member
+        init-list or temporary), a splitmix_at base, or a seed parameter
+        of a repo callee."""
+        key = (fn.qname, pname)
+        if self.seed_params.get(key):
+            return True
+        if key in visited:
+            return False
+        visited.add(key)
+        fm = self.repo.files.get(fn.rel)
+        if fm is None:
+            return False
+        names = {pname}
+
+        def mentions(span) -> bool:
+            lo, hi = span
+            return any(t.kind == ID and t.text in names
+                       for t in fm.tokens[lo:hi])
+
+        grew = True
+        while grew:
+            grew = False
+            for loc in fn.locals.values():
+                if loc.name not in names and loc.init is not None \
+                        and mentions(loc.init):
+                    names.add(loc.name)
+                    grew = True
+        rng_members = {n for cls in self.repo.class_named(fn.cls or "")
+                       for n, m in cls.members.items()
+                       if RNG_TYPE in m.type_text}
+        found = (
+            any(RNG_TYPE in loc.type_text and loc.init is not None
+                and mentions(loc.init) for loc in fn.locals.values())
+            or any(mname in rng_members and mentions(span)
+                   for mname, span in fn.init_list)
+            or any(self._arg_seeds(call, j, visited)
+                   for call in fn.calls
+                   for j, span in enumerate(call.args) if mentions(span)))
+        if found:
+            # A nested negative may stem from a call-graph cycle and is
+            # final only for the outermost query (_param_ok records it).
+            self.seed_params[key] = True
+        return found
+
+    def _arg_seeds(self, call, j: int, visited: set) -> bool:
+        """True when argument `j` of `call` seeds an RNG: a Xoshiro256ss
+        temporary, a splitmix_at base or a repo callee's seed parameter."""
+        if call.name == RNG_TYPE or (call.name == "splitmix_at" and j == 0):
+            return True
+        return any(j < len(callee.params) and self._is_seed_param(
+            callee, callee.params[j].name, visited)
+            for callee in self.repo.functions_named(call.name))
 
     def _body_sources(self, fn: Function) -> bool:
         fm = self.repo.files.get(fn.rel)
@@ -281,11 +348,12 @@ def run(repo: Repo, scanned: set[str]) -> list[Finding]:
 
 def _provenance(repo: Repo, scanned: set[str]) -> list[Finding]:
     out: list[Finding] = []
+    seed_params: dict = {}
     for fm in repo.files.values():
         if fm.rel not in scanned or fm.rel.endswith(EXEMPT_FILES):
             continue
         for fn in fm.functions:
-            tracer = _Tracer(repo)
+            tracer = _Tracer(repo, seed_params)
             # Xoshiro locals.
             for loc in fn.locals.values():
                 if RNG_TYPE not in loc.type_text or loc.init is None:
