@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "core/analysis.hpp"
+#include "core/planner.hpp"
 #include "math/erf.hpp"
 #include "rfid/timing.hpp"
 #include "util/cli.hpp"
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
               eps, 1.0 - delta, d);
 
   const core::PersistenceChoice choice =
-      core::find_persistence(n_low, w, k, eps, delta);
+      core::PersistencePlanner::search(n_low, w, k, eps, delta);
   if (choice.satisfies) {
     std::printf("selected p_o = %u/1024 = %.6f (minimal satisfying "
                 "Theorem 3 at n_low=%.0f)\n",

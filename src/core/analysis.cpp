@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "core/planner.hpp"
 #include "math/erf.hpp"
 
 namespace bfce::core {
@@ -51,11 +50,6 @@ double f1(double n, std::uint32_t w, std::uint32_t k, double p, double eps) {
 
 double f2(double n, std::uint32_t w, std::uint32_t k, double p, double eps) {
   return f_edge(n, w, k, p, eps, -1.0);
-}
-
-PersistenceChoice find_persistence(double n_low, std::uint32_t w,
-                                   std::uint32_t k, double eps, double delta) {
-  return PersistencePlanner::search(n_low, w, k, eps, delta);
 }
 
 double predicted_relative_sd(double n, std::uint32_t w, std::uint32_t k,

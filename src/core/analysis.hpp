@@ -45,15 +45,6 @@ struct PersistenceChoice {
   bool operator==(const PersistenceChoice&) const = default;
 };
 
-/// Finds the minimal p = p_n/1024 (p_n ∈ [1, 1023]) satisfying Theorem 4's
-/// conditions at the rough lower bound `n_low`. When no grid point
-/// satisfies them (tiny populations), returns the margin-maximising p with
-/// `satisfies == false` so the caller can proceed on a best-effort basis.
-/// (Thin wrapper over PersistencePlanner::search — see core/planner.hpp
-/// for the memoizing front end a service shares across workers.)
-PersistenceChoice find_persistence(double n_low, std::uint32_t w,
-                                   std::uint32_t k, double eps, double delta);
-
 /// γ = −ln(ρ̄)/(k·p) scalability envelope of §IV-B / Fig 4, evaluated on
 /// the paper's {1/1024, …, 1023/1024} grid for both p and ρ̄.
 struct GammaBounds {

@@ -12,17 +12,6 @@ namespace bfce::core {
 
 namespace {
 
-/// Runs one Bloom frame through the context's engine (which dispatches
-/// on the execution mode), accumulating individual tag transmissions
-/// into `tx` for the energy model.
-util::BitVector execute_frame(rfid::ReaderContext& ctx,
-                              const rfid::BloomFrameConfig& cfg,
-                              std::uint64_t* tx) {
-  rfid::FrameResult res = ctx.run_frame(rfid::FrameRequest::bloom(cfg));
-  if (tx != nullptr) *tx += res.tx;
-  return std::move(res.busy);
-}
-
 /// Fresh per-phase frame configuration with newly broadcast seeds.
 rfid::BloomFrameConfig make_config(rfid::ReaderContext& ctx,
                                    const BfceParams& params,
@@ -43,20 +32,39 @@ double idle_ratio(const util::BitVector& busy, std::size_t prefix) {
   return 1.0 - static_cast<double>(busy_count) / static_cast<double>(prefix);
 }
 
+/// One reader: every frame runs through the context's own engine (which
+/// dispatches on the execution mode), and the bitmap is inverted at the
+/// broadcast persistence itself.
+class ReaderFrameSource final : public BloomFrameSource {
+ public:
+  explicit ReaderFrameSource(rfid::ReaderContext& ctx) : ctx_(ctx) {}
+
+  rfid::ReaderContext& coordinator() override { return ctx_; }
+
+  util::BitVector run(const rfid::BloomFrameConfig& cfg,
+                      std::uint64_t& tx) override {
+    rfid::FrameResult res = ctx_.run_frame(rfid::FrameRequest::bloom(cfg));
+    tx += res.tx;
+    return std::move(res.busy);
+  }
+
+ private:
+  rfid::ReaderContext& ctx_;
+};
+
 }  // namespace
 
-estimators::EstimateOutcome BfceEstimator::estimate(
-    rfid::ReaderContext& ctx, const estimators::Requirement& req) {
-  BfceTrace trace;
-  return estimate_traced(ctx, req, trace);
-}
-
-estimators::EstimateOutcome BfceEstimator::estimate_traced(
-    rfid::ReaderContext& ctx, const estimators::Requirement& req,
-    BfceTrace& trace) {
+estimators::EstimateOutcome run_bfce(BloomFrameSource& source,
+                                     const BfceParams& prm,
+                                     const estimators::Requirement& req,
+                                     BfceTrace& trace) {
   estimators::EstimateOutcome out;
   trace = BfceTrace{};
-  const auto& prm = params_;
+  rfid::ReaderContext& ctx = source.coordinator();
+  const PersistenceLaw law = source.law();
+  // The persistence that inverts a bitmap broadcast at p. An empty law
+  // returns p itself, so one reader's arithmetic is untouched.
+  const auto g = [&law](double p) { return law ? law(p) : p; };
   const std::uint64_t seed_broadcast_bits =
       static_cast<std::uint64_t>(prm.k) * prm.seed_bits;
 
@@ -68,8 +76,7 @@ estimators::EstimateOutcome BfceEstimator::estimate_traced(
     ++trace.probe_iterations;
     const auto cfg = make_config(ctx, prm, p_s_n);
     const double t_before = out.airtime.total_us(ctx.timing());
-    const util::BitVector busy =
-        execute_frame(ctx, cfg, &out.airtime.tag_tx_bits);
+    const util::BitVector busy = source.run(cfg, out.airtime.tag_tx_bits);
     out.airtime.add_reader_broadcast(seed_broadcast_bits + prm.p_bits);
     out.airtime.add_tag_slots(prm.probe_slots);
 
@@ -97,7 +104,7 @@ estimators::EstimateOutcome BfceEstimator::estimate_traced(
   const auto rough_cfg = make_config(ctx, prm, p_s_n);
   const double t_rough_before = out.airtime.total_us(ctx.timing());
   const util::BitVector rough_busy =
-      execute_frame(ctx, rough_cfg, &out.airtime.tag_tx_bits);
+      source.run(rough_cfg, out.airtime.tag_tx_bits);
   std::uint32_t observed = prm.rough_prefix;
   double rho = idle_ratio(rough_busy, observed);
   while ((rho <= 0.0 || rho >= 1.0) && observed < prm.w) {
@@ -128,22 +135,24 @@ estimators::EstimateOutcome BfceEstimator::estimate_traced(
     // Saturated even at the floor probability: clamp at the scalability
     // envelope (γ_max · w, the >19M bound of §IV-B).
     n_rough = estimate_from_rho(1.0 / static_cast<double>(prm.w), prm.w,
-                                prm.k, rough_cfg.p);
+                                prm.k, g(rough_cfg.p));
     out.met_by_design = false;
     out.note = "rough phase saw an all-busy bitmap";
   } else {
-    n_rough = estimate_from_rho(rho, prm.w, prm.k, rough_cfg.p);
+    n_rough = estimate_from_rho(rho, prm.w, prm.k, g(rough_cfg.p));
   }
   trace.n_rough = n_rough;
   const double n_low = std::max(1.0, prm.c * n_rough);
   trace.n_low = n_low;
 
   // ---- Phase 2: accurate estimation (§IV-D) --------------------------
+  // The identity law goes through the shared planner, keyed like every
+  // plain BFCE job; any other law runs the law-aware scan.
   const PersistenceChoice choice =
-      prm.planner != nullptr
+      prm.planner != nullptr && !law
           ? prm.planner->choose(n_low, prm.w, prm.k, req.epsilon, req.delta)
           : PersistencePlanner::search(n_low, prm.w, prm.k, req.epsilon,
-                                       req.delta);
+                                       req.delta, law);
   trace.p_choice = choice;
   if (!choice.satisfies) {
     out.met_by_design = false;
@@ -154,8 +163,7 @@ estimators::EstimateOutcome BfceEstimator::estimate_traced(
 
   const auto acc_cfg = make_config(ctx, prm, choice.p_n);
   const double t_acc_before = out.airtime.total_us(ctx.timing());
-  const util::BitVector acc_busy =
-      execute_frame(ctx, acc_cfg, &out.airtime.tag_tx_bits);
+  const util::BitVector acc_busy = source.run(acc_cfg, out.airtime.tag_tx_bits);
   out.airtime.intervals += 1;  // gap between phase-1 replies and broadcast
   out.airtime.add_reader_broadcast(seed_broadcast_bits + prm.p_bits);
   out.airtime.tag_bits += prm.w;
@@ -173,14 +181,28 @@ estimators::EstimateOutcome BfceEstimator::estimate_traced(
   }
   trace.rho_accurate = rho_acc;
 
-  out.n_hat = estimate_from_rho(rho_acc, prm.w, prm.k, acc_cfg.p);
+  const double g_o = g(acc_cfg.p);
+  out.n_hat = estimate_from_rho(rho_acc, prm.w, prm.k, g_o);
   const ConfidenceInterval ci =
-      interval_from_rho(rho_acc, prm.w, prm.k, acc_cfg.p, req.delta);
+      interval_from_rho(rho_acc, prm.w, prm.k, g_o, req.delta);
   out.ci_low = ci.lo;
   out.ci_high = ci.hi;
   out.rounds = 1;  // the whole protocol is a single two-phase round
   out.time_us = out.airtime.total_us(ctx.timing());
   return out;
+}
+
+estimators::EstimateOutcome BfceEstimator::estimate(
+    rfid::ReaderContext& ctx, const estimators::Requirement& req) {
+  BfceTrace trace;
+  return estimate_traced(ctx, req, trace);
+}
+
+estimators::EstimateOutcome BfceEstimator::estimate_traced(
+    rfid::ReaderContext& ctx, const estimators::Requirement& req,
+    BfceTrace& trace) {
+  ReaderFrameSource source(ctx);
+  return run_bfce(source, params_, req, trace);
 }
 
 estimators::EstimateOutcome AveragedBfceEstimator::estimate(

@@ -10,6 +10,7 @@
 #include "hash/persistence.hpp"
 #include "rfid/frame.hpp"
 #include "rfid/reader.hpp"
+#include "util/bitvector.hpp"
 
 namespace bfce::core {
 
@@ -62,12 +63,39 @@ struct BfceTrace {
   bool rho_clamped = false;          ///< phase-2 bitmap was degenerate
 };
 
-/// The Bloom Filter based Cardinality Estimator.
-///
-/// One call to estimate() runs the full §IV protocol: persistence probe,
-/// rough lower-bound phase (1024 bit-slots), Theorem-4 selection of p_o,
-/// and the accurate phase (8192 bit-slots), charging every broadcast and
-/// bit-slot to the airtime ledger.
+/// Where BFCE's frames come from. A source runs one Bloom frame
+/// configuration and returns the busy map. It owns the coordinator
+/// context, whose stream draws every broadcast seed, whose timing model
+/// prices the airtime ledger and whose frame log records the run. It
+/// also supplies the effective persistence g(p) at which its bitmaps
+/// are inverted: the identity for one reader, an overlap correction for
+/// a fleet whose busy maps are OR-merged (federation/federated_bfce.hpp).
+class BloomFrameSource {
+ public:
+  virtual ~BloomFrameSource() = default;
+
+  virtual rfid::ReaderContext& coordinator() = 0;
+
+  /// Runs one frame; adds its individual tag transmissions to `tx`.
+  virtual util::BitVector run(const rfid::BloomFrameConfig& cfg,
+                              std::uint64_t& tx) = 0;
+
+  /// g(p). Empty (the default) is the identity, and the Theorem-4 plan
+  /// then goes through BfceParams::planner.
+  virtual PersistenceLaw law() const { return {}; }
+};
+
+/// The §IV protocol over any frame source: persistence probe, rough
+/// lower-bound phase (1024 bit-slots), Theorem-4 selection of p_o, and
+/// the accurate phase (8192 bit-slots), charging every broadcast and
+/// bit-slot to the airtime ledger and recording each phase in `trace`.
+estimators::EstimateOutcome run_bfce(BloomFrameSource& source,
+                                     const BfceParams& params,
+                                     const estimators::Requirement& req,
+                                     BfceTrace& trace);
+
+/// The Bloom Filter based Cardinality Estimator: run_bfce over one
+/// reader's context.
 class BfceEstimator final : public estimators::CardinalityEstimator {
  public:
   BfceEstimator() = default;

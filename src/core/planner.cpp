@@ -15,14 +15,18 @@ PersistencePlanner::PersistencePlanner(Options options) : options_(options) {}
 
 PersistenceChoice PersistencePlanner::search(double n_low, std::uint32_t w,
                                              std::uint32_t k, double eps,
-                                             double delta) {
+                                             double delta,
+                                             const PersistenceLaw& law) {
   const double d = math::confidence_d(delta);
   PersistenceChoice best;  // margin-maximising fallback
   bool have_best = false;
   for (std::uint32_t p_n = 1; p_n <= 1023; ++p_n) {
+    // The broadcast grid stays p = p_n/1024; Theorem 3's edges see the
+    // per-slot load λ = k·g(p)·n/w.
     const double p = static_cast<double>(p_n) / 1024.0;
-    const double lo = f1(n_low, w, k, p, eps);
-    const double hi = f2(n_low, w, k, p, eps);
+    const double g = law ? law(p) : p;
+    const double lo = f1(n_low, w, k, g, eps);
+    const double hi = f2(n_low, w, k, g, eps);
     const double margin = std::fmin(-lo, hi) - d;
     if (margin >= 0.0) {
       // Minimal satisfying p: the paper takes the first hit (p_o small).

@@ -16,11 +16,11 @@
 // whether the answer came from the cache or from a fresh scan — the
 // bucketing happens *before* the search in both paths, so caching can
 // never change an estimate. With the default exact bucketing,
-// bucket(n_low) == n_low and choose() is bit-identical to the legacy
-// find_persistence().
+// bucket(n_low) == n_low and choose() is bit-identical to search().
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +28,11 @@
 #include "core/analysis.hpp"
 
 namespace bfce::core {
+
+/// The effective persistence g(p) at which a bitmap broadcast with
+/// persistence p is inverted. One reader's is the identity (an empty
+/// law); an overlapping reader fleet sets slots more often, g(p) > p.
+using PersistenceLaw = std::function<double(double)>;
 
 /// One memoized Theorem-4 search result, in exportable form: the key's
 /// raw bit patterns plus the cached choice. The service snapshot
@@ -82,11 +87,15 @@ class PersistencePlanner {
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
-  /// The raw Theorem-4 search over p_n ∈ [1, 1023] — the single
-  /// implementation behind the free find_persistence(), bit-identical
-  /// to the loop that used to live inside BfceEstimator.
+  /// The Theorem-4 search: the minimal p = p_n/1024 (p_n ∈ [1, 1023])
+  /// whose CLT edge functions, evaluated at the effective persistence
+  /// law(p), satisfy Theorem 3 at the rough lower bound `n_low`. When no
+  /// grid point does (tiny populations), returns the margin-maximising
+  /// p with `satisfies == false` so the caller can proceed on a
+  /// best-effort basis. Uncached; the empty law is the plain search.
   static PersistenceChoice search(double n_low, std::uint32_t w,
-                                  std::uint32_t k, double eps, double delta);
+                                  std::uint32_t k, double eps, double delta,
+                                  const PersistenceLaw& law = {});
 
   /// n̂_low with its low mantissa bits cleared per the options (identity
   /// at the default 52 bits).

@@ -1,14 +1,10 @@
 #include "federation/federated_bfce.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/planner.hpp"
-#include "math/erf.hpp"
 #include "rfid/reader.hpp"
 #include "util/bitvector.hpp"
 #include "util/rng.hpp"
@@ -42,240 +38,102 @@ double effective_persistence(const CoverageProfile& profile,
                                          : profile.linear_persistence(p);
 }
 
-core::PersistenceChoice federated_persistence_search(
-    const CoverageProfile& profile, SessionCorrelation correlation,
-    rfid::FrameMode mode, double n_low, std::uint32_t w, std::uint32_t k,
-    double eps, double delta) {
-  // core::PersistencePlanner::search with Theorem 3's edge functions
-  // evaluated at the effective persistence: the fleet's per-slot load is
-  // λ = k·g(p)·n/w, so f1/f2 see g(p) while the broadcast grid stays
-  // p = p_n/1024.
-  const double d = math::confidence_d(delta);
-  core::PersistenceChoice best;  // margin-maximising fallback
-  bool have_best = false;
-  for (std::uint32_t p_n = 1; p_n <= 1023; ++p_n) {
-    const double p = static_cast<double>(p_n) / 1024.0;
-    const double g = effective_persistence(profile, correlation, mode, p);
-    const double lo = core::f1(n_low, w, k, g, eps);
-    const double hi = core::f2(n_low, w, k, g, eps);
-    const double margin = std::fmin(-lo, hi) - d;
-    if (margin >= 0.0) {
-      return core::PersistenceChoice{p_n, p, true, margin};
-    }
-    if (!have_best || margin > best.margin) {
-      best = core::PersistenceChoice{p_n, p, false, margin};
-      have_best = true;
+namespace {
+
+/// The fleet as one frame source. Every reader session runs the
+/// coordinator's broadcast configuration against the tags it covers and
+/// the busy maps merge up the aggregation tree. Reader 0 is the
+/// coordinator and is seeded with exactly the job seed, so a 1-reader
+/// fleet consumes the same stream as a plain BFCE job. Readers r ≥ 1 get
+/// independent derived streams, so no result can depend on how many
+/// service workers (or merge fanouts) the back-end happens to run.
+class FleetFrameSource final : public core::BloomFrameSource {
+ public:
+  FleetFrameSource(const Fleet& fleet, const FederationConfig& cfg,
+                   MergeStats& merge)
+      : cfg_(cfg), profile_(fleet.profile()), merge_(merge) {
+    sessions_.reserve(fleet.reader_count());
+    for (std::size_t r = 0; r < fleet.reader_count(); ++r) {
+      const std::uint64_t seed =
+          r == 0 ? cfg.seed
+                 : util::SeedMixer(cfg.seed)
+                       .absorb(std::string_view{"federation/reader"})
+                       .absorb(static_cast<std::uint64_t>(r))
+                       .value();
+      sessions_.push_back(std::make_unique<rfid::ReaderContext>(
+          fleet.system().reader_population(r), seed, cfg.mode, cfg.channel,
+          cfg.timing, cfg.policy));
     }
   }
-  return best;
-}
+
+  rfid::ReaderContext& coordinator() override { return *sessions_.front(); }
+
+  // Airtime is charged once by the protocol: the readers run in
+  // lockstep, and colliding readers serialise into rounds, accounted by
+  // fleet_airtime_s.
+  util::BitVector run(const rfid::BloomFrameConfig& frame,
+                      std::uint64_t& tx) override {
+    std::vector<util::BitVector> leaves;
+    leaves.reserve(sessions_.size());
+    for (const auto& session : sessions_) {
+      rfid::FrameResult res =
+          session->run_frame(rfid::FrameRequest::bloom(frame));
+      tx += res.tx;
+      leaves.push_back(std::move(res.busy));
+    }
+    return merge_tree(std::move(leaves), cfg_.fanout, &merge_);
+  }
+
+  // Trivial corrections (coherent sessions, disjoint coverage, single
+  // reader) stay the identity, so the plan shares the planner's cache
+  // keys and hit pattern with ordinary BFCE jobs.
+  core::PersistenceLaw law() const override {
+    if (cfg_.correlation == SessionCorrelation::kCoherent ||
+        !profile_.has_overlap()) {
+      return {};
+    }
+    return [this](double p) { return g(p); };
+  }
+
+  double g(double p) const {
+    return effective_persistence(profile_, cfg_.correlation, cfg_.mode, p);
+  }
+
+  rfid::EngineCounters counters() const {
+    rfid::EngineCounters sum;
+    for (const auto& session : sessions_) sum += session->engine().counters();
+    return sum;
+  }
+
+ private:
+  const FederationConfig& cfg_;
+  const CoverageProfile& profile_;
+  MergeStats& merge_;
+  std::vector<std::unique_ptr<rfid::ReaderContext>> sessions_;
+};
+
+}  // namespace
 
 FederatedOutcome FederatedBfceEstimator::estimate(
     const Fleet& fleet, const estimators::Requirement& req) const {
-  const FederationConfig& cfg = config_;
-  const core::BfceParams& prm = cfg.params;
-  const CoverageProfile& profile = fleet.profile();
-
   FederatedOutcome fed;
   fed.readers = fleet.reader_count();
   fed.schedule_rounds = fleet.schedule_rounds();
-  fed.overlap_fraction = profile.overlap_fraction();
+  fed.overlap_fraction = fleet.profile().overlap_fraction();
   if (fed.readers == 0) {
     fed.outcome.met_by_design = false;
     fed.outcome.note = "federation over an empty fleet";
     return fed;
   }
 
-  // Per-reader sessions. Reader 0 carries the coordinator's RNG stream
-  // and is seeded with exactly the job seed — a 1-reader fleet therefore
-  // consumes the same stream as a plain BFCE job. Readers r ≥ 1 get
-  // independent derived streams, so no result can depend on how many
-  // service workers (or merge fanouts) the back-end happens to run.
-  std::vector<std::unique_ptr<rfid::ReaderContext>> sessions;
-  sessions.reserve(fed.readers);
-  for (std::size_t r = 0; r < fed.readers; ++r) {
-    const std::uint64_t seed =
-        r == 0 ? cfg.seed
-               : util::SeedMixer(cfg.seed)
-                     .absorb(std::string_view{"federation/reader"})
-                     .absorb(static_cast<std::uint64_t>(r))
-                     .value();
-    sessions.push_back(std::make_unique<rfid::ReaderContext>(
-        fleet.system().reader_population(r), seed, cfg.mode, cfg.channel,
-        cfg.timing, cfg.policy));
-  }
-  rfid::ReaderContext& ctx0 = *sessions.front();
+  FleetFrameSource source(fleet, config_, fed.merge);
+  fed.outcome = core::run_bfce(source, config_.params, req, fed.trace);
 
-  estimators::EstimateOutcome& out = fed.outcome;
-  core::BfceTrace& trace = fed.trace;
-  const std::uint64_t seed_broadcast_bits =
-      static_cast<std::uint64_t>(prm.k) * prm.seed_bits;
-
-  // Coordinator-broadcast frame configuration: the seeds are drawn from
-  // reader 0's stream in exactly the order core's make_config draws them.
-  const auto make_config = [&](std::uint32_t p_n) {
-    rfid::BloomFrameConfig frame;
-    frame.w = prm.w;
-    frame.k = prm.k;
-    frame.hash = prm.hash;
-    frame.persistence = prm.persistence;
-    frame.set_p_numerator(p_n);
-    for (std::uint32_t j = 0; j < prm.k; ++j) frame.seeds[j] = ctx0.next_seed();
-    return frame;
-  };
-
-  // One fleet frame: every reader runs the same broadcast configuration
-  // against its own coverage, the busy maps merge up the aggregation
-  // tree. Airtime is charged once (the readers run in lockstep; colliding
-  // readers serialise into rounds, accounted by fleet_airtime_s).
-  const auto fleet_frame = [&](const rfid::BloomFrameConfig& frame) {
-    std::vector<util::BitVector> leaves;
-    leaves.reserve(sessions.size());
-    for (const auto& session : sessions) {
-      rfid::FrameResult res =
-          session->run_frame(rfid::FrameRequest::bloom(frame));
-      out.airtime.tag_tx_bits += res.tx;
-      leaves.push_back(std::move(res.busy));
-    }
-    return merge_tree(std::move(leaves), cfg.fanout, &fed.merge);
-  };
-
-  const auto g_of = [&](double p) {
-    return effective_persistence(profile, cfg.correlation, cfg.mode, p);
-  };
-  const auto idle_ratio = [](const util::BitVector& busy, std::size_t prefix) {
-    const std::size_t busy_count = busy.count_ones_prefix(prefix);
-    return 1.0 -
-           static_cast<double>(busy_count) / static_cast<double>(prefix);
-  };
-
-  // ---- Persistence probe (§IV-C, fleet-wide) -------------------------
-  // Identical control flow to core::BfceEstimator: the probe window is
-  // the *merged* bitmap, so p_s settles where the union load is workable.
-  std::uint32_t p_s_n = prm.probe_start_pn;
-  for (std::uint32_t iter = 0; iter < prm.max_probe_iters; ++iter) {
-    ++trace.probe_iterations;
-    const auto frame = make_config(p_s_n);
-    const double t_before = out.airtime.total_us(ctx0.timing());
-    const util::BitVector busy = fleet_frame(frame);
-    out.airtime.add_reader_broadcast(seed_broadcast_bits + prm.p_bits);
-    out.airtime.add_tag_slots(prm.probe_slots);
-
-    const std::size_t busy_count = busy.count_ones_prefix(prm.probe_slots);
-    ctx0.log_frame(rfid::FrameKind::kProbe, prm.probe_slots, frame.p,
-                   static_cast<std::uint32_t>(busy_count),
-                   out.airtime.total_us(ctx0.timing()) - t_before);
-    if (busy_count == 0) {
-      if (p_s_n >= 1023) break;
-      p_s_n = std::min<std::uint32_t>(1023, p_s_n + prm.probe_up_step);
-    } else if (busy_count == prm.probe_slots) {
-      if (p_s_n <= 1) break;
-      p_s_n = std::max<std::uint32_t>(1, p_s_n - prm.probe_down_step);
-    } else {
-      break;
-    }
-  }
-  trace.p_s_numerator = p_s_n;
-
-  // ---- Phase 1: rough lower bound over the merged bitmap -------------
-  const auto rough_cfg = make_config(p_s_n);
-  const double t_rough_before = out.airtime.total_us(ctx0.timing());
-  const util::BitVector rough_busy = fleet_frame(rough_cfg);
-  std::uint32_t observed = prm.rough_prefix;
-  double rho = idle_ratio(rough_busy, observed);
-  while ((rho <= 0.0 || rho >= 1.0) && observed < prm.w) {
-    observed = std::min(prm.w, observed * 2);
-    rho = idle_ratio(rough_busy, observed);
-  }
-  out.airtime.add_reader_broadcast(seed_broadcast_bits + prm.p_bits);
-  out.airtime.tag_bits += observed;
-  ctx0.log_frame(rfid::FrameKind::kBloomRough, observed, rough_cfg.p,
-                 static_cast<std::uint32_t>(
-                     rough_busy.count_ones_prefix(observed)),
-                 out.airtime.total_us(ctx0.timing()) - t_rough_before);
-
-  trace.rho_rough = rho;
-  trace.rough_slots_observed = observed;
-
-  // Inversion under the effective persistence: the merged bitmap's load
-  // is k·g(p_s)·n_union/w (g ≡ p when the correction is trivial).
-  double n_rough;
-  if (rho >= 1.0) {
-    n_rough = 1.0;
-    out.met_by_design = false;
-    out.note = "rough phase saw an all-idle bitmap";
-  } else if (rho <= 0.0) {
-    n_rough = core::estimate_from_rho(1.0 / static_cast<double>(prm.w), prm.w,
-                                      prm.k, g_of(rough_cfg.p));
-    out.met_by_design = false;
-    out.note = "rough phase saw an all-busy bitmap";
-  } else {
-    n_rough = core::estimate_from_rho(rho, prm.w, prm.k, g_of(rough_cfg.p));
-  }
-  trace.n_rough = n_rough;
-  const double n_low = std::max(1.0, prm.c * n_rough);
-  trace.n_low = n_low;
-
-  // ---- Phase 2: fleet-level Theorem-4 plan + accurate frame ----------
-  // Trivial corrections (coherent sessions, disjoint coverage, single
-  // reader) delegate to the shared planner with the plain arguments —
-  // same cache keys, same hit/miss behaviour as an ordinary BFCE job.
-  // Otherwise run the g(p)-corrected grid search.
-  const bool trivial_correction =
-      cfg.correlation == SessionCorrelation::kCoherent || !profile.has_overlap();
-  const core::PersistenceChoice choice =
-      trivial_correction
-          ? (prm.planner != nullptr
-                 ? prm.planner->choose(n_low, prm.w, prm.k, req.epsilon,
-                                       req.delta)
-                 : core::PersistencePlanner::search(n_low, prm.w, prm.k,
-                                                    req.epsilon, req.delta))
-          : federated_persistence_search(profile, cfg.correlation, cfg.mode,
-                                         n_low, prm.w, prm.k, req.epsilon,
-                                         req.delta);
-  trace.p_choice = choice;
-  if (!choice.satisfies) {
-    out.met_by_design = false;
-    if (out.note.empty()) {
-      out.note = "no p on the 1/1024 grid satisfies Theorem 3 at n_low";
-    }
-  }
-
-  const auto acc_cfg = make_config(choice.p_n);
-  const double t_acc_before = out.airtime.total_us(ctx0.timing());
-  const util::BitVector acc_busy = fleet_frame(acc_cfg);
-  out.airtime.intervals += 1;  // gap between phase-1 replies and broadcast
-  out.airtime.add_reader_broadcast(seed_broadcast_bits + prm.p_bits);
-  out.airtime.tag_bits += prm.w;
-  ctx0.log_frame(rfid::FrameKind::kBloomAccurate, prm.w, acc_cfg.p,
-                 static_cast<std::uint32_t>(acc_busy.count_ones()),
-                 out.airtime.total_us(ctx0.timing()) - t_acc_before);
-
-  double rho_acc = idle_ratio(acc_busy, prm.w);
-  if (rho_acc <= 0.0) {
-    rho_acc = 1.0 / static_cast<double>(prm.w);
-    trace.rho_clamped = true;
-  } else if (rho_acc >= 1.0) {
-    rho_acc = 1.0 - 1.0 / static_cast<double>(prm.w);
-    trace.rho_clamped = true;
-  }
-  trace.rho_accurate = rho_acc;
-
-  const double g_o = g_of(acc_cfg.p);
-  fed.correction_g = g_o;
-  out.n_hat = core::estimate_from_rho(rho_acc, prm.w, prm.k, g_o);
-  const core::ConfidenceInterval ci =
-      core::interval_from_rho(rho_acc, prm.w, prm.k, g_o, req.delta);
-  out.ci_low = ci.lo;
-  out.ci_high = ci.hi;
-  out.rounds = 1;
-  out.time_us = out.airtime.total_us(ctx0.timing());
-
-  for (const auto& session : sessions) {
-    fed.counters += session->engine().counters();
-  }
+  rfid::ReaderContext& ctx0 = source.coordinator();
+  fed.correction_g = source.g(fed.trace.p_choice.p);
+  fed.counters = source.counters();
   fed.fleet_airtime_s = static_cast<double>(fed.schedule_rounds) *
-                        out.airtime.total_seconds(ctx0.timing());
+                        fed.outcome.airtime.total_seconds(ctx0.timing());
   // The stream-position witness: bit-equal to ctx.next_seed() after a
   // plain estimate when the fleet is degenerate.
   fed.rng_fingerprint = ctx0.next_seed();

@@ -19,20 +19,21 @@
 //     p → g(p); the g law depends on how per-reader sessions correlate
 //     (SessionCorrelation below + CoverageProfile's histogram).
 //
-// Determinism contract (the PR 5/6 discipline): a FederatedOutcome is a
-// pure function of (FederationConfig, Fleet, Requirement) — bit-identical
-// across service worker counts and aggregation-tree fanouts. Reader 0's
-// context is seeded exactly like a plain service job's context and the
-// coordinator consumes its RNG stream in exactly the order
-// core::BfceEstimator::estimate_traced does, so a 1-reader fleet is
-// bit-identical to a plain BFCE job — estimate, airtime, planner-cache
-// key and RNG stream position included (rng_fingerprint exposes the
-// position for tests).
+// The protocol itself is core::run_bfce: the fleet is one more
+// core::BloomFrameSource, whose frames are the merged per-reader busy
+// maps and whose persistence law is g(p).
+//
+// Determinism contract: a FederatedOutcome is a pure function of
+// (FederationConfig, Fleet, Requirement) — bit-identical across service
+// worker counts and aggregation-tree fanouts. Reader 0's context is
+// seeded exactly like a plain service job's context and coordinates the
+// run, so a 1-reader fleet is bit-identical to a plain BFCE job —
+// estimate, airtime, planner-cache key and RNG stream position included
+// (rng_fingerprint exposes the position for tests).
 
 #include <cstddef>
 #include <cstdint>
 
-#include "core/analysis.hpp"
 #include "core/bfce.hpp"
 #include "estimators/estimator.hpp"
 #include "federation/aggregation.hpp"
@@ -75,17 +76,6 @@ const char* to_cstring(SessionCorrelation correlation) noexcept;
 double effective_persistence(const CoverageProfile& profile,
                              SessionCorrelation correlation,
                              rfid::FrameMode mode, double p) noexcept;
-
-/// Theorem-4 search with the fleet correction: the minimal p = p_n/1024
-/// whose CLT edge functions satisfy Theorem 3 at n_low *under the
-/// effective persistence* — mirrors core::PersistencePlanner::search
-/// with f1/f2 evaluated at g(p) instead of p. When the correction is
-/// trivial (g = p) callers should use the shared planner instead so the
-/// memo cache behaves identically to plain BFCE jobs.
-core::PersistenceChoice federated_persistence_search(
-    const CoverageProfile& profile, SessionCorrelation correlation,
-    rfid::FrameMode mode, double n_low, std::uint32_t w, std::uint32_t k,
-    double eps, double delta);
 
 /// Everything a federated estimate depends on. Mirrors the service's
 /// per-job substrate (mode/channel/timing/policy) plus the federation

@@ -36,6 +36,37 @@ std::unique_ptr<estimators::CardinalityEstimator> make_job_estimator(
   return estimators::make_estimator(spec.estimator);
 }
 
+/// The retry rule every job kind shares. Runs `attempt(a, r)` for
+/// a = 0, 1, … until an attempt meets its design point within the
+/// airtime budget or the attempt budget is spent; an attempt body that
+/// marks the job kFailed ends it at once. Out of attempts, an airtime
+/// blow-out is a missed deadline; a mere design-point miss still
+/// delivers the estimate as kDone (the outcome carries met_by_design =
+/// false and the note).
+template <typename Attempt>
+JobResult run_attempts(const JobSpec& spec, std::uint64_t& retries,
+                       Attempt&& attempt) {
+  JobResult r;
+  const std::uint32_t budget = std::max<std::uint32_t>(1, spec.max_attempts);
+  for (std::uint32_t a = 0; a < budget; ++a) {
+    attempt(a, r);
+    if (r.status == JobStatus::kFailed) return r;
+    r.attempts = a + 1;
+
+    const bool over_budget = r.airtime_s > spec.airtime_budget_s;
+    if (r.outcome.met_by_design && !over_budget) {
+      r.status = JobStatus::kDone;
+      return r;
+    }
+    if (a + 1 < budget) {
+      ++retries;
+    } else {
+      r.status = over_budget ? JobStatus::kDeadlineMissed : JobStatus::kDone;
+    }
+  }
+  return r;
+}
+
 LatencyProfile profile_of(std::vector<double> samples) {
   LatencyProfile p;
   p.count = samples.size();
@@ -483,19 +514,18 @@ JobResult EstimationService::execute_job(const JobSpec& spec,
                                          std::uint64_t& retries) const {
   if (spec.tracking.has_value()) return execute_tracking(spec, retries);
   if (spec.federation.has_value()) return execute_federation(spec, retries);
-  JobResult r;
   if (spec.population == nullptr) {
+    JobResult r;
     r.status = JobStatus::kFailed;
     r.outcome.note = "job has no population";
     return r;
   }
-  const std::uint32_t budget = std::max<std::uint32_t>(1, spec.max_attempts);
-  for (std::uint32_t attempt = 0; attempt < budget; ++attempt) {
+  return run_attempts(spec, retries, [&](std::uint32_t attempt, JobResult& r) {
     const auto estimator = make_job_estimator(spec, config_.planner);
     if (estimator == nullptr) {
       r.status = JobStatus::kFailed;
       r.outcome.note = "unknown estimator '" + spec.estimator + "'";
-      return r;
+      return;
     }
     rfid::ReaderContext ctx(*spec.population,
                             util::derive_seed(spec.seed, attempt),
@@ -503,32 +533,14 @@ JobResult EstimationService::execute_job(const JobSpec& spec,
                             config_.engine_policy);
     r.outcome = estimator->estimate(ctx, spec.req);
     r.counters += ctx.engine().counters();
-    r.attempts = attempt + 1;
     r.airtime_s = r.outcome.airtime.total_seconds(config_.timing);
-
-    const bool over_budget = r.airtime_s > spec.airtime_budget_s;
-    if (r.outcome.met_by_design && !over_budget) {
-      r.status = JobStatus::kDone;
-      return r;
-    }
-    if (attempt + 1 < budget) {
-      ++retries;
-    } else {
-      // Out of attempts: an airtime blow-out is a missed deadline; a
-      // mere design-point miss still delivers the estimate as kDone
-      // (the outcome carries met_by_design = false and the note).
-      r.status = over_budget ? JobStatus::kDeadlineMissed : JobStatus::kDone;
-    }
-  }
-  return r;
+  });
 }
 
 JobResult EstimationService::execute_tracking(const JobSpec& spec,
                                               std::uint64_t& retries) const {
-  JobResult r;
   const TrackingJobSpec& track = *spec.tracking;
-  const std::uint32_t budget = std::max<std::uint32_t>(1, spec.max_attempts);
-  for (std::uint32_t attempt = 0; attempt < budget; ++attempt) {
+  return run_attempts(spec, retries, [&](std::uint32_t attempt, JobResult& r) {
     tracking::SessionConfig cfg;
     cfg.initial_population = track.initial_population;
     cfg.params.planner = config_.planner;
@@ -553,7 +565,6 @@ JobResult EstimationService::execute_tracking(const JobSpec& spec,
     tracked.summary = session.summary();
 
     r.counters += session.counters();
-    r.attempts = attempt + 1;
     r.airtime_s = tracked.summary.airtime_s;
 
     // The job-level outcome is the tracker's final fused state, with a
@@ -571,32 +582,19 @@ JobResult EstimationService::execute_tracking(const JobSpec& spec,
       r.outcome.note = "tracking: rounds fell back from the design point";
     }
     r.tracking = std::move(tracked);
-
-    const bool over_budget = r.airtime_s > spec.airtime_budget_s;
-    if (r.outcome.met_by_design && !over_budget) {
-      r.status = JobStatus::kDone;
-      return r;
-    }
-    if (attempt + 1 < budget) {
-      ++retries;
-    } else {
-      r.status = over_budget ? JobStatus::kDeadlineMissed : JobStatus::kDone;
-    }
-  }
-  return r;
+  });
 }
 
 JobResult EstimationService::execute_federation(const JobSpec& spec,
                                                 std::uint64_t& retries) const {
-  JobResult r;
   const FederationJobSpec& fedspec = *spec.federation;
   if (fedspec.fleet == nullptr) {
+    JobResult r;
     r.status = JobStatus::kFailed;
     r.outcome.note = "federation job has no fleet";
     return r;
   }
-  const std::uint32_t budget = std::max<std::uint32_t>(1, spec.max_attempts);
-  for (std::uint32_t attempt = 0; attempt < budget; ++attempt) {
+  return run_attempts(spec, retries, [&](std::uint32_t attempt, JobResult& r) {
     federation::FederationConfig cfg;
     cfg.params.planner = config_.planner;
     cfg.correlation = fedspec.correlation;
@@ -618,7 +616,6 @@ JobResult EstimationService::execute_federation(const JobSpec& spec,
 
     r.outcome = std::move(fed.outcome);
     r.counters += fed.counters;
-    r.attempts = attempt + 1;
     // The airtime deadline applies to the floor's wall-clock: colliding
     // readers serialise, so every interference round replays the ledger.
     r.airtime_s = fed.fleet_airtime_s;
@@ -632,19 +629,7 @@ JobResult EstimationService::execute_federation(const JobSpec& spec,
     summary.merge = fed.merge;
     summary.rng_fingerprint = fed.rng_fingerprint;
     r.federation = summary;
-
-    const bool over_budget = r.airtime_s > spec.airtime_budget_s;
-    if (r.outcome.met_by_design && !over_budget) {
-      r.status = JobStatus::kDone;
-      return r;
-    }
-    if (attempt + 1 < budget) {
-      ++retries;
-    } else {
-      r.status = over_budget ? JobStatus::kDeadlineMissed : JobStatus::kDone;
-    }
-  }
-  return r;
+  });
 }
 
 void EstimationService::account_terminal(const JobResult& result) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/planner.hpp"
 #include "math/erf.hpp"
 
 namespace bfce::core {
@@ -82,7 +83,8 @@ TEST(FindPersistence, ReproducesThePapersExample) {
   // §IV-D: "the optimal p_o is usually small (e.g. p = 3/2^10)". With
   // n_low = 250000 (i.e. n = 500000, c = 0.5) and (ε, δ) = (0.05, 0.05)
   // the minimal satisfying grid point is exactly 3/1024.
-  const PersistenceChoice c = find_persistence(250000, 8192, 3, 0.05, 0.05);
+  const PersistenceChoice c =
+      PersistencePlanner::search(250000, 8192, 3, 0.05, 0.05);
   EXPECT_TRUE(c.satisfies);
   EXPECT_EQ(c.p_n, 3u);
   EXPECT_DOUBLE_EQ(c.p, 3.0 / 1024.0);
@@ -91,7 +93,8 @@ TEST(FindPersistence, ReproducesThePapersExample) {
 
 TEST(FindPersistence, SatisfiedChoiceMeetsTheorem3) {
   for (double n_low : {5000.0, 50000.0, 1e6, 5e6}) {
-    const PersistenceChoice c = find_persistence(n_low, 8192, 3, 0.05, 0.05);
+    const PersistenceChoice c =
+        PersistencePlanner::search(n_low, 8192, 3, 0.05, 0.05);
     ASSERT_TRUE(c.satisfies) << n_low;
     const double d = math::confidence_d(0.05);
     EXPECT_LE(f1(n_low, 8192, 3, c.p, 0.05), -d);
@@ -109,7 +112,8 @@ TEST(FindPersistence, SatisfiedChoiceMeetsTheorem3) {
 TEST(FindPersistence, PoNumeratorShrinksAsNGrows) {
   std::uint32_t prev = 1024;
   for (double n_low : {5000.0, 20000.0, 100000.0, 500000.0, 2e6}) {
-    const PersistenceChoice c = find_persistence(n_low, 8192, 3, 0.05, 0.05);
+    const PersistenceChoice c =
+        PersistencePlanner::search(n_low, 8192, 3, 0.05, 0.05);
     ASSERT_TRUE(c.satisfies);
     EXPECT_LE(c.p_n, prev) << n_low;
     prev = c.p_n;
@@ -117,8 +121,10 @@ TEST(FindPersistence, PoNumeratorShrinksAsNGrows) {
 }
 
 TEST(FindPersistence, LooserRequirementsNeedSmallerP) {
-  const PersistenceChoice tight = find_persistence(50000, 8192, 3, 0.05, 0.05);
-  const PersistenceChoice loose = find_persistence(50000, 8192, 3, 0.20, 0.05);
+  const PersistenceChoice tight =
+      PersistencePlanner::search(50000, 8192, 3, 0.05, 0.05);
+  const PersistenceChoice loose =
+      PersistencePlanner::search(50000, 8192, 3, 0.20, 0.05);
   ASSERT_TRUE(tight.satisfies);
   ASSERT_TRUE(loose.satisfies);
   EXPECT_LE(loose.p_n, tight.p_n);
@@ -127,7 +133,8 @@ TEST(FindPersistence, LooserRequirementsNeedSmallerP) {
 TEST(FindPersistence, TinyPopulationFallsBackToMaxMargin) {
   // n_low ≈ 500 cannot satisfy (0.05, 0.05) with w = 8192 (λ_max too
   // small, §IV-D discussion) — the search must degrade gracefully.
-  const PersistenceChoice c = find_persistence(500, 8192, 3, 0.05, 0.05);
+  const PersistenceChoice c =
+      PersistencePlanner::search(500, 8192, 3, 0.05, 0.05);
   EXPECT_FALSE(c.satisfies);
   EXPECT_GE(c.p_n, 1u);
   EXPECT_LE(c.p_n, 1023u);

@@ -14,11 +14,13 @@
 #include "federation/fleet.hpp"
 #include "federation/geometry.hpp"
 #include "hash/persistence.hpp"
+#include "math/erf.hpp"
 #include "rfid/multireader.hpp"
 #include "rfid/reader.hpp"
 #include "service/metrics.hpp"
 #include "service/service.hpp"
 #include "util/bitvector.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace bfce::federation {
@@ -129,14 +131,51 @@ TEST(EffectivePersistenceFn, BonferroniOrderingUnderTripleOverlap) {
   }
 }
 
+/// The law a fleet hands the protocol, as a PersistenceLaw.
+core::PersistenceLaw law_of(const CoverageProfile& profile,
+                            SessionCorrelation correlation,
+                            rfid::FrameMode mode) {
+  return [&profile, correlation, mode](double p) {
+    return effective_persistence(profile, correlation, mode, p);
+  };
+}
+
+/// The fleet's Theorem-4 scan as it stood before federation shared
+/// PersistencePlanner::search, kept verbatim as the reference the
+/// merged scan must reproduce bit for bit.
+core::PersistenceChoice reference_federated_search(
+    const CoverageProfile& profile, SessionCorrelation correlation,
+    rfid::FrameMode mode, double n_low, std::uint32_t w, std::uint32_t k,
+    double eps, double delta) {
+  const double d = math::confidence_d(delta);
+  core::PersistenceChoice best;  // margin-maximising fallback
+  bool have_best = false;
+  for (std::uint32_t p_n = 1; p_n <= 1023; ++p_n) {
+    const double p = static_cast<double>(p_n) / 1024.0;
+    const double g = effective_persistence(profile, correlation, mode, p);
+    const double lo = core::f1(n_low, w, k, g, eps);
+    const double hi = core::f2(n_low, w, k, g, eps);
+    const double margin = std::fmin(-lo, hi) - d;
+    if (margin >= 0.0) {
+      return core::PersistenceChoice{p_n, p, true, margin};
+    }
+    if (!have_best || margin > best.margin) {
+      best = core::PersistenceChoice{p_n, p, false, margin};
+      have_best = true;
+    }
+  }
+  return best;
+}
+
 TEST(FederatedSearchFn, MatchesPlainSearchWithoutOverlap) {
   const CoverageProfile disjoint = coverage_profile(overlapping_pair(0.2, 0.0));
   for (const double n_low : {500.0, 25000.0, 400000.0}) {
     const auto plain =
         core::PersistencePlanner::search(n_low, 8192, 3, 0.05, 0.05);
-    const auto fed = federated_persistence_search(
-        disjoint, SessionCorrelation::kIndependent, rfid::FrameMode::kSampled,
-        n_low, 8192, 3, 0.05, 0.05);
+    const auto fed = core::PersistencePlanner::search(
+        n_low, 8192, 3, 0.05, 0.05,
+        law_of(disjoint, SessionCorrelation::kIndependent,
+               rfid::FrameMode::kSampled));
     EXPECT_EQ(fed.p_n, plain.p_n);
     EXPECT_EQ(fed.satisfies, plain.satisfies);
     EXPECT_DOUBLE_EQ(fed.margin, plain.margin);
@@ -151,12 +190,53 @@ TEST(FederatedSearchFn, OverlapLowersChosenPersistence) {
   const double n_low = 25000.0;
   const auto plain =
       core::PersistencePlanner::search(n_low, 8192, 3, 0.05, 0.05);
-  const auto fed = federated_persistence_search(
-      overlapped, SessionCorrelation::kIndependent, rfid::FrameMode::kSampled,
-      n_low, 8192, 3, 0.05, 0.05);
+  const auto fed = core::PersistencePlanner::search(
+      n_low, 8192, 3, 0.05, 0.05,
+      law_of(overlapped, SessionCorrelation::kIndependent,
+             rfid::FrameMode::kSampled));
   ASSERT_TRUE(plain.satisfies);
   EXPECT_TRUE(fed.satisfies);
   EXPECT_LT(fed.p_n, plain.p_n);
+}
+
+TEST(FederatedSearchFn, LawAwareSearchMatchesReferenceScan) {
+  // 2 000 log-spaced n_low in [1, 1e7] × overlap × mode × correlation ×
+  // the four bench requirements, the infeasible (0.02, 0.01) included.
+  constexpr std::size_t kPoints = 2000;
+  const estimators::Requirement reqs[] = {
+      {0.05, 0.05}, {0.03, 0.05}, {0.1, 0.1}, {0.02, 0.01}};
+  std::vector<CoverageProfile> profiles;
+  for (const double frac : {0.0, 0.25, 0.5}) {
+    profiles.push_back(coverage_profile(overlapping_pair(0.24, frac)));
+  }
+  std::vector<int> mismatches(kPoints, 0);
+  util::parallel_for(0, kPoints, [&](std::size_t i) {
+    const double n_low = std::pow(
+        10.0, 7.0 * static_cast<double>(i) / static_cast<double>(kPoints - 1));
+    for (const CoverageProfile& profile : profiles) {
+      for (const rfid::FrameMode mode :
+           {rfid::FrameMode::kExact, rfid::FrameMode::kSampled}) {
+        for (const SessionCorrelation correlation :
+             {SessionCorrelation::kIndependent,
+              SessionCorrelation::kCoherent}) {
+          for (const estimators::Requirement& req : reqs) {
+            const core::PersistenceChoice want = reference_federated_search(
+                profile, correlation, mode, n_low, 8192, 3, req.epsilon,
+                req.delta);
+            const core::PersistenceChoice got =
+                core::PersistencePlanner::search(
+                    n_low, 8192, 3, req.epsilon, req.delta,
+                    law_of(profile, correlation, mode));
+            // Bit equality of every field, margin included.
+            if (!(got == want)) ++mismatches[i];
+          }
+        }
+      }
+    }
+  });
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    EXPECT_EQ(mismatches[i], 0) << "n_low point " << i;
+  }
 }
 
 // ---- Aggregation tree ----------------------------------------------------

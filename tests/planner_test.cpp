@@ -1,6 +1,5 @@
 // Tests for the standalone Theorem-4 persistence planner and its memo
-// cache: the extraction must be bit-identical to the legacy in-estimator
-// search, and caching must never change a choice.
+// cache: caching must never change a choice.
 #include "core/planner.hpp"
 
 #include <gtest/gtest.h>
@@ -43,16 +42,6 @@ void expect_same_choice(const PersistenceChoice& a,
   EXPECT_DOUBLE_EQ(a.p, b.p);
   EXPECT_EQ(a.satisfies, b.satisfies);
   EXPECT_DOUBLE_EQ(a.margin, b.margin);
-}
-
-TEST(PersistencePlanner, SearchIsBitIdenticalToFindPersistence) {
-  for (const PlanPoint& pt : plan_grid()) {
-    const PersistenceChoice legacy =
-        find_persistence(pt.n_low, pt.w, pt.k, pt.eps, pt.delta);
-    const PersistenceChoice extracted =
-        PersistencePlanner::search(pt.n_low, pt.w, pt.k, pt.eps, pt.delta);
-    expect_same_choice(legacy, extracted);
-  }
 }
 
 TEST(PersistencePlanner, SearchReproducesPaperExample) {
