@@ -21,14 +21,15 @@ struct BfceParams {
   std::uint32_t k = 3;     ///< hash functions per tag (§IV-B)
   double c = 0.5;          ///< rough lower-bound coefficient (§IV-C)
 
-  /// Slots observed before truncating the rough-phase frame (§IV-C).
+  /// Slots observed before truncating the rough-phase frame (§IV-C);
+  /// must exceed probe_slots, whose window opens the same frame.
   std::uint32_t rough_prefix = 1024;
   /// Probe window: slots observed per persistence-probe attempt (§IV-C).
   std::uint32_t probe_slots = 32;
   /// Probe start/step numerators over 1024: p_s = 8/1024 initially,
-  /// +2/1024 after an all-idle window, −1/1024 after an all-busy one.
+  /// doubled (capped at 1023/1024) after an all-idle window, −1/1024
+  /// after an all-busy one.
   std::uint32_t probe_start_pn = 8;
-  std::uint32_t probe_up_step = 2;
   std::uint32_t probe_down_step = 1;
   /// Safety valve on the probe loop (the paper expects "several tests").
   std::uint32_t max_probe_iters = 64;
@@ -52,10 +53,12 @@ struct BfceParams {
 /// Step-by-step diagnostics of one BFCE run; surfaced by examples and
 /// asserted on by tests.
 struct BfceTrace {
-  std::uint32_t probe_iterations = 0;
+  std::uint32_t probe_iterations = 0;  ///< probe frames, the rough one included
   std::uint32_t p_s_numerator = 0;   ///< probe result, p_s = p_s_n/1024
-  double rho_rough = 0.0;            ///< idle ratio observed in phase 1
-  std::uint32_t rough_slots_observed = 0;  ///< 1024, or extended if degenerate
+  double rho_rough = 0.0;  ///< phase-1 idle ratio after the probe window
+  /// Slots heard on the rough frame, probe window included: 1024, or
+  /// extended if degenerate.
+  std::uint32_t rough_slots_observed = 0;
   double n_rough = 0.0;              ///< n̂_r
   double n_low = 0.0;                ///< c · n̂_r
   PersistenceChoice p_choice;        ///< Theorem 4 search outcome
@@ -86,9 +89,13 @@ class BloomFrameSource {
 };
 
 /// The §IV protocol over any frame source: persistence probe, rough
-/// lower-bound phase (1024 bit-slots), Theorem-4 selection of p_o, and
-/// the accurate phase (8192 bit-slots), charging every broadcast and
-/// bit-slot to the airtime ledger and recording each phase in `trace`.
+/// lower-bound phase (1024 bit-slots, heard on the last probe's frame),
+/// Theorem-4 selection of p_o, and the accurate phase (8192 bit-slots),
+/// charging every broadcast and bit-slot to the airtime ledger and
+/// recording each phase in `trace`. A one-probe estimate costs §IV-E's
+/// closed form: two broadcasts, three gaps and 9216 slots. When the plan
+/// misses Theorem 3 at a requirement no n can meet at w, the outcome is
+/// flagged `infeasible`.
 estimators::EstimateOutcome run_bfce(BloomFrameSource& source,
                                      const BfceParams& params,
                                      const estimators::Requirement& req,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <tuple>
 
@@ -38,6 +40,49 @@ PersistenceChoice PersistencePlanner::search(double n_low, std::uint32_t w,
     }
   }
   return best;
+}
+
+Feasibility PersistencePlanner::feasibility(std::uint32_t w, double eps,
+                                            double delta) {
+  // min(−f1, f2) at load λ: Theorem 3's edges with n = λ·w, k = p = 1.
+  const double wd = static_cast<double>(w);
+  const auto edge = [&](double lambda) {
+    return std::fmin(-f1(lambda * wd, w, 1, 1.0, eps),
+                     f2(lambda * wd, w, 1, 1.0, eps));
+  };
+  // The edge rises from 0 at λ = 0 to one peak and decays to 0 again
+  // (near λ = 1.6 for small ε): golden-section search for it.
+  const double inv_phi = (std::sqrt(5.0) - 1.0) / 2.0;
+  double lo = 0.0, hi = 20.0;
+  double x1 = hi - inv_phi * (hi - lo), x2 = lo + inv_phi * (hi - lo);
+  double e1 = edge(x1), e2 = edge(x2);
+  for (int i = 0; i < 80; ++i) {
+    if (e1 < e2) {
+      lo = x1;
+      x1 = x2;
+      e1 = e2;
+      x2 = lo + inv_phi * (hi - lo);
+      e2 = edge(x2);
+    } else {
+      hi = x2;
+      x2 = x1;
+      e2 = e1;
+      x1 = hi - inv_phi * (hi - lo);
+      e1 = edge(x1);
+    }
+  }
+  Feasibility f;
+  f.m_star = std::fmax(e1, e2);
+  const double d = math::confidence_d(delta);
+  f.feasible = f.m_star >= d;
+  if (!f.feasible) {
+    // m* = 0 (ε = 0) needs unboundedly many rounds: saturate.
+    constexpr std::uint32_t kMaxRounds =
+        std::numeric_limits<std::uint32_t>::max();
+    const double r = std::ceil((d / f.m_star) * (d / f.m_star));
+    f.rounds = r < kMaxRounds ? static_cast<std::uint32_t>(r) : kMaxRounds;
+  }
+  return f;
 }
 
 double PersistencePlanner::bucket(double n_low) const noexcept {

@@ -34,6 +34,18 @@ namespace bfce::core {
 /// law); an overlapping reader fleet sets slots more often, g(p) > p.
 using PersistenceLaw = std::function<double(double)>;
 
+/// Whether a requirement can be met at frame length w by any population.
+/// Theorem 3's f1 and f2 depend on n only through the load
+/// λ = k·g(p)·n/w, so m* = max over λ of min(−f1, f2) decides every n,
+/// k and persistence law at once.
+struct Feasibility {
+  bool feasible = true;     ///< m* ≥ d(δ)
+  double m_star = 0.0;      ///< best standardised edge over all loads
+  /// ⌈(d/m*)²⌉: the rounds AveragedBfceEstimator would need, since the
+  /// mean of r independent frames scales every edge by √r (1 if feasible).
+  std::uint32_t rounds = 1;
+};
+
 /// One memoized Theorem-4 search result, in exportable form: the key's
 /// raw bit patterns plus the cached choice. The service snapshot
 /// (service/snapshot.hpp) persists these so a restored service starts
@@ -96,6 +108,10 @@ class PersistencePlanner {
   static PersistenceChoice search(double n_low, std::uint32_t w,
                                   std::uint32_t k, double eps, double delta,
                                   const PersistenceLaw& law = {});
+
+  /// Decides (ε, δ) at frame length w for every n before any airtime is
+  /// spent. Pure and uncached.
+  static Feasibility feasibility(std::uint32_t w, double eps, double delta);
 
   /// n̂_low with its low mantissa bits cleared per the options (identity
   /// at the default 52 bits).

@@ -31,6 +31,10 @@ struct EstimateOutcome {
   /// False when the protocol had to fall back from its design point
   /// (e.g. BFCE found no p satisfying Theorem 3 for tiny populations).
   bool met_by_design = true;
+  /// True when the design point was missed because no population can
+  /// meet the requirement at this protocol's configuration (BFCE: no
+  /// load satisfies Theorem 3 at w). Another seed would miss as well.
+  bool infeasible = false;
   std::string note;  ///< human-readable diagnostic, empty when unremarkable
 
   /// |n̂ − n| / n — the paper's accuracy metric (§V-A).

@@ -39,10 +39,11 @@ std::unique_ptr<estimators::CardinalityEstimator> make_job_estimator(
 /// The retry rule every job kind shares. Runs `attempt(a, r)` for
 /// a = 0, 1, … until an attempt meets its design point within the
 /// airtime budget or the attempt budget is spent; an attempt body that
-/// marks the job kFailed ends it at once. Out of attempts, an airtime
-/// blow-out is a missed deadline; a mere design-point miss still
-/// delivers the estimate as kDone (the outcome carries met_by_design =
-/// false and the note).
+/// marks the job kFailed ends it at once, and an infeasible outcome (no
+/// seed can meet the requirement) ends it after that attempt. At the
+/// end, an airtime blow-out is a missed deadline; a mere design-point
+/// miss still delivers the estimate as kDone (the outcome carries
+/// met_by_design = false and the note).
 template <typename Attempt>
 JobResult run_attempts(const JobSpec& spec, std::uint64_t& retries,
                        Attempt&& attempt) {
@@ -58,10 +59,11 @@ JobResult run_attempts(const JobSpec& spec, std::uint64_t& retries,
       r.status = JobStatus::kDone;
       return r;
     }
-    if (a + 1 < budget) {
+    if (a + 1 < budget && !r.outcome.infeasible) {
       ++retries;
     } else {
       r.status = over_budget ? JobStatus::kDeadlineMissed : JobStatus::kDone;
+      return r;
     }
   }
   return r;
@@ -580,6 +582,12 @@ JobResult EstimationService::execute_tracking(const JobSpec& spec,
     r.outcome.met_by_design = tracked.summary.design_misses == 0;
     if (!r.outcome.met_by_design) {
       r.outcome.note = "tracking: rounds fell back from the design point";
+      // Every round shares the requirement, so an infeasible one misses
+      // in every session.
+      r.outcome.infeasible = !core::PersistencePlanner::feasibility(
+                                  cfg.params.w, spec.req.epsilon,
+                                  spec.req.delta)
+                                  .feasible;
     }
     r.tracking = std::move(tracked);
   });

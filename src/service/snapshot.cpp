@@ -22,6 +22,11 @@ constexpr std::size_t kMaxNoteBytes = 1 << 12;
 /// deliberately crafted file can make the decoder allocate.
 constexpr std::uint64_t kMaxSectionCount = std::uint64_t{1} << 24;
 
+/// An outcome's design byte: met_by_design, or why it was missed.
+constexpr std::uint8_t kDesignMissed = 0;
+constexpr std::uint8_t kDesignMet = 1;
+constexpr std::uint8_t kDesignInfeasible = 2;
+
 void encode_outcome(util::ByteWriter& w,
                     const estimators::EstimateOutcome& o) {
   w.f64(o.n_hat);
@@ -33,7 +38,8 @@ void encode_outcome(util::ByteWriter& w,
   w.u64(o.airtime.tag_tx_bits);
   w.f64(o.time_us);
   w.u32(o.rounds);
-  w.u8(o.met_by_design ? 1 : 0);
+  w.u8(o.met_by_design ? kDesignMet : o.infeasible ? kDesignInfeasible
+                                                   : kDesignMissed);
   w.str(o.note);
 }
 
@@ -47,7 +53,13 @@ void decode_outcome(util::ByteReader& r, estimators::EstimateOutcome& o) {
   o.airtime.tag_tx_bits = r.u64();
   o.time_us = r.f64();
   o.rounds = r.u32();
-  o.met_by_design = r.u8() != 0;
+  const std::uint8_t design = r.u8();
+  if (design > kDesignInfeasible) {
+    r.fail();
+    return;
+  }
+  o.met_by_design = design == kDesignMet;
+  o.infeasible = design == kDesignInfeasible;
   o.note = r.str(kMaxNoteBytes);
 }
 

@@ -1,8 +1,9 @@
 // Statistical conformance tier: does BFCE actually deliver its (ε, δ)
 // contract — Pr{|n̂ − n| ≤ ε·n} ≥ 1 − δ — over many seeded trials?
 //
-// Each cell of the sweep (population n × requirement) runs 200
-// exact-mode trials on independent protocol streams and counts the
+// Each cell of the sweep (population n × requirement) runs 200 trials
+// (exact mode unless the cell says sampled) on independent protocol
+// streams and counts the
 // trials whose relative error exceeded ε. The pass criterion is not
 // "miss rate ≤ δ" (a fair protocol at exactly δ would fail that half
 // the time) but the exact binomial version: the 99% Clopper–Pearson
@@ -14,7 +15,9 @@
 // (met_by_design == false); those trials fall back to the best-effort
 // estimate and are excluded from the miss count — the contract only
 // covers rounds the protocol could design. Cells where fewer than 50
-// trials reach the design point assert fallback sanity instead.
+// trials reach the design point assert fallback sanity instead. A
+// requirement that no n can meet at w must be flagged infeasible on
+// every trial, and a feasible one on none.
 //
 // ctest label: `conformance` — tier-1 plain `ctest` runs it, the
 // release/asan/tsan preset filters skip it, and `tools/ci.sh
@@ -41,24 +44,26 @@ constexpr std::size_t kTrials = 200;
 constexpr std::uint64_t kMasterSeed = 0xC0F0A11CE5ULL;
 
 struct CellOutcome {
-  std::size_t designed = 0;   ///< trials that met the design point
-  std::size_t misses = 0;     ///< designed trials with rel. error > ε
-  std::size_t fallbacks = 0;  ///< trials flagged met_by_design == false
+  std::size_t designed = 0;    ///< trials that met the design point
+  std::size_t misses = 0;      ///< designed trials with rel. error > ε
+  std::size_t fallbacks = 0;   ///< trials flagged met_by_design == false
+  std::size_t infeasible = 0;  ///< fallbacks flagged infeasible
 };
 
-CellOutcome run_cell(std::size_t n, const estimators::Requirement& req) {
+CellOutcome run_cell(std::size_t n, const estimators::Requirement& req,
+                     rfid::FrameMode mode) {
   const auto pop =
       rfid::make_population(n, rfid::TagIdDistribution::kT1Uniform, 77);
   core::BfceEstimator estimator;
   CellOutcome cell;
   for (std::size_t trial = 0; trial < kTrials; ++trial) {
-    rfid::ReaderContext ctx(pop, util::derive_seed(kMasterSeed, trial),
-                            rfid::FrameMode::kExact);
+    rfid::ReaderContext ctx(pop, util::derive_seed(kMasterSeed, trial), mode);
     const estimators::EstimateOutcome out = estimator.estimate(ctx, req);
     EXPECT_TRUE(std::isfinite(out.n_hat)) << "n=" << n << " trial=" << trial;
     EXPECT_GE(out.n_hat, 0.0);
     if (!out.met_by_design) {
       ++cell.fallbacks;
+      if (out.infeasible) ++cell.infeasible;
       continue;
     }
     ++cell.designed;
@@ -69,12 +74,17 @@ CellOutcome run_cell(std::size_t n, const estimators::Requirement& req) {
   return cell;
 }
 
-void expect_conformance(std::size_t n, const estimators::Requirement& req) {
+void expect_conformance(std::size_t n, const estimators::Requirement& req,
+                        rfid::FrameMode mode = rfid::FrameMode::kExact) {
   SCOPED_TRACE("n=" + std::to_string(n) +
                " eps=" + std::to_string(req.epsilon) +
-               " delta=" + std::to_string(req.delta));
-  const CellOutcome cell = run_cell(n, req);
+               " delta=" + std::to_string(req.delta) +
+               (mode == rfid::FrameMode::kExact ? " exact" : " sampled"));
+  const CellOutcome cell = run_cell(n, req, mode);
   ASSERT_EQ(cell.designed + cell.fallbacks, kTrials);
+  // Only a requirement no n can meet is flagged infeasible, and such a
+  // requirement is never met by design.
+  EXPECT_EQ(cell.infeasible, 0u);
   if (cell.designed >= 50) {
     // Exact binomial consistency check against the advertised δ.
     const math::ProportionInterval ci =
@@ -123,6 +133,27 @@ TEST(Conformance, N100000TightRequirement) {
 
 TEST(Conformance, N100000LooseEpsilonTightDelta) {
   expect_conformance(100000, {0.1, 0.01});
+}
+
+TEST(Conformance, N1000LooseRequirement) {
+  expect_conformance(1000, {0.1, 0.1});
+}
+
+TEST(Conformance, N10000LooseRequirement) {
+  expect_conformance(10000, {0.1, 0.1});
+}
+
+TEST(Conformance, N2000TightRequirementSampled) {
+  expect_conformance(2000, {0.05, 0.05}, rfid::FrameMode::kSampled);
+}
+
+TEST(Conformance, N10000InfeasibleRequirementIsNeverDesigned) {
+  // At w = 8192 no n meets (0.02, 0.01): every trial must say so, typed.
+  const CellOutcome cell =
+      run_cell(10000, {0.02, 0.01}, rfid::FrameMode::kExact);
+  EXPECT_EQ(cell.designed, 0u);
+  EXPECT_EQ(cell.fallbacks, kTrials);
+  EXPECT_EQ(cell.infeasible, kTrials);
 }
 
 // ---- Fleet-level conformance ---------------------------------------------

@@ -292,6 +292,28 @@ TEST(MergeTreeFn, SingleLeafAndEmptyEdges) {
 
 // ---- The federated estimator ---------------------------------------------
 
+TEST(FederatedBfce, OneProbeFleetEstimateCostsTheClosedForm) {
+  // The fleet runs the same fused protocol: a one-probe estimate on a
+  // 1-reader fleet costs §IV-E.1's 0.18457064 s.
+  const auto pop = pop_of(100000, 4);
+  const Fleet fleet(pop, {rfid::ReaderPlacement{0.5, 0.5, 1.5}});
+  for (const rfid::FrameMode mode :
+       {rfid::FrameMode::kSampled, rfid::FrameMode::kExact}) {
+    FederationConfig cfg;
+    cfg.mode = mode;
+    cfg.seed = 8;
+    const FederatedOutcome fed =
+        FederatedBfceEstimator(cfg).estimate(fleet, {0.05, 0.05});
+    ASSERT_EQ(fed.trace.probe_iterations, 1u);
+    EXPECT_EQ(fed.outcome.airtime.reader_bits, 256u);
+    EXPECT_EQ(fed.outcome.airtime.intervals, 3u);
+    EXPECT_EQ(fed.outcome.airtime.tag_bits, 9216u);
+    EXPECT_NEAR(fed.outcome.airtime.total_seconds(rfid::TimingModel{}),
+                0.18457064, 1e-12);
+    EXPECT_NEAR(fed.fleet_airtime_s, 0.18457064, 1e-12);
+  }
+}
+
 TEST(FederatedBfce, SingleReaderFleetMatchesPlainBfce) {
   // The degenerate-case guarantee: a 1-reader fleet with fanout 1 is
   // bit-identical to plain BFCE — estimate, trace, airtime ledger and

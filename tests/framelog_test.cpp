@@ -65,17 +65,17 @@ TEST(FrameLog, BfceHasTheTwoPhaseStructure) {
   core::BfceEstimator bfce;
   const auto out = bfce.estimate(ctx, {0.05, 0.05});
 
-  // Protocol structure: ≥1 probe, exactly one rough and one accurate
-  // Bloom frame, in that order, and nothing else.
-  EXPECT_GE(log.count(FrameKind::kProbe), 1u);
-  EXPECT_EQ(log.count(FrameKind::kBloomRough), 1u);
-  EXPECT_EQ(log.count(FrameKind::kBloomAccurate), 1u);
-  EXPECT_EQ(log.size(), log.count(FrameKind::kProbe) + 2);
-  EXPECT_EQ(log.records().back().kind, FrameKind::kBloomAccurate);
-  EXPECT_EQ(log.records()[log.size() - 2].kind, FrameKind::kBloomRough);
-  // The rough frame observed 1024 slots; the accurate one 8192.
-  EXPECT_EQ(log.records()[log.size() - 2].slots_observed, 1024u);
-  EXPECT_EQ(log.records().back().slots_observed, 8192u);
+  // Protocol structure: the first probe window is mixed, so its frame is
+  // the rough frame and no probe is abandoned. Exactly one rough and one
+  // accurate Bloom frame, in that order, and nothing else.
+  EXPECT_EQ(log.count(FrameKind::kProbe), 0u);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.records()[0].kind, FrameKind::kBloomRough);
+  EXPECT_EQ(log.records()[1].kind, FrameKind::kBloomAccurate);
+  // The rough frame observed 1024 slots, probe window included; the
+  // accurate one 8192.
+  EXPECT_EQ(log.records()[0].slots_observed, 1024u);
+  EXPECT_EQ(log.records()[1].slots_observed, 8192u);
   // The logged durations account for the whole run.
   EXPECT_NEAR(log.total_duration_us(), out.time_us, 1.0);
 }

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/bfce.hpp"
+#include "math/erf.hpp"
 #include "rfid/population.hpp"
 #include "rfid/reader.hpp"
 #include "util/parallel.hpp"
@@ -50,6 +52,43 @@ TEST(PersistencePlanner, SearchReproducesPaperExample) {
       PersistencePlanner::search(250000, 8192, 3, 0.05, 0.05);
   EXPECT_TRUE(c.satisfies);
   EXPECT_EQ(c.p_n, 3u);
+}
+
+TEST(PersistencePlanner, FeasibilityFlagsRequirementsNoPopulationMeets) {
+  // At w = 8192 the best standardised edge at ε = 0.02 is 1.43 and at
+  // ε = 0.03 it is 2.14, both short of d(0.01) = 2.576.
+  const Feasibility tight = PersistencePlanner::feasibility(8192, 0.02, 0.01);
+  EXPECT_FALSE(tight.feasible);
+  EXPECT_NEAR(tight.m_star, 1.43, 0.01);
+  EXPECT_EQ(tight.rounds, 4u);
+  const Feasibility near = PersistencePlanner::feasibility(8192, 0.03, 0.01);
+  EXPECT_FALSE(near.feasible);
+  EXPECT_NEAR(near.m_star, 2.14, 0.01);
+  EXPECT_EQ(near.rounds, 2u);
+  for (const auto& [eps, delta] : {std::pair{0.05, 0.05}, std::pair{0.03, 0.05},
+                                   std::pair{0.1, 0.1}, std::pair{0.1, 0.01}}) {
+    const Feasibility f = PersistencePlanner::feasibility(8192, eps, delta);
+    EXPECT_TRUE(f.feasible) << eps << ", " << delta;
+    EXPECT_EQ(f.rounds, 1u);
+  }
+}
+
+TEST(PersistencePlanner, FeasibilityBoundsEverySearch) {
+  // No n_low's grid search beats m*, and a feasible requirement is met
+  // at some n_low: the planner's verdict agrees with the scan.
+  for (const auto& [eps, delta] : {std::pair{0.02, 0.01}, std::pair{0.03, 0.01},
+                                   std::pair{0.05, 0.05}, std::pair{0.1, 0.1}}) {
+    const Feasibility f = PersistencePlanner::feasibility(8192, eps, delta);
+    const double d = math::confidence_d(delta);
+    bool met = false;
+    for (double n_low = 100.0; n_low < 2.0e7; n_low *= 1.07) {
+      const PersistenceChoice c =
+          PersistencePlanner::search(n_low, 8192, 3, eps, delta);
+      EXPECT_LE(c.margin + d, f.m_star + 1e-9) << "n_low=" << n_low;
+      met = met || c.satisfies;
+    }
+    EXPECT_EQ(met, f.feasible) << eps << ", " << delta;
+  }
 }
 
 TEST(PersistencePlanner, CachedChoiceBitIdenticalToSearch) {

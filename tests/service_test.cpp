@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "federation/fleet.hpp"
 #include "rfid/population.hpp"
 
 namespace bfce::service {
@@ -227,6 +228,63 @@ TEST(EstimationService, ExhaustedRetriesStillDeliverTheEstimate) {
   EXPECT_EQ(r.attempts, 3u);
   EXPECT_FALSE(r.outcome.met_by_design);
   EXPECT_EQ(svc.metrics().retries, 2u);
+}
+
+TEST(EstimationService, InfeasibleJobsRunOneAttempt) {
+  // (0.02, 0.01) is out of reach at w = 8192 for every n: each BFCE-family
+  // job kind delivers its one estimate flagged infeasible, no retry.
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  EstimationService svc(cfg);
+  static const auto thousand =
+      rfid::make_population(1000, rfid::TagIdDistribution::kT1Uniform, 12);
+  const federation::Fleet fleet(small_pop(),
+                                {rfid::ReaderPlacement{0.5, 0.5, 1.5}});
+
+  std::vector<JobSpec> specs(4);
+  for (JobSpec& spec : specs) {
+    spec.req = {0.02, 0.01};
+    spec.seed = 21;
+    spec.max_attempts = 3;
+  }
+  specs[0].population = &small_pop();
+  specs[1].population = &thousand;
+  specs[1].estimator = "BFCE-avg";
+  specs[2].tracking =
+      TrackingJobSpec{3, 10000, tracking::steady_scenario(3, 0.05, 10000.0)};
+  specs[3].federation = FederationJobSpec{&fleet};
+
+  std::vector<JobId> ids;
+  for (const JobSpec& spec : specs) ids.push_back(svc.submit(spec));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const JobResult r = svc.wait(ids[i]);
+    EXPECT_EQ(r.status, JobStatus::kDone) << i;
+    EXPECT_EQ(r.attempts, 1u) << i;
+    EXPECT_FALSE(r.outcome.met_by_design) << i;
+    EXPECT_TRUE(r.outcome.infeasible) << i;
+  }
+  EXPECT_EQ(svc.metrics().retries, 0u);
+}
+
+TEST(EstimationService, FeasibleDesignMissStillRetries) {
+  // 200 tags are too few for (0.05, 0.05), a requirement larger
+  // populations meet: another seed is worth trying.
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  EstimationService svc(cfg);
+  static const auto tiny =
+      rfid::make_population(200, rfid::TagIdDistribution::kT1Uniform, 13);
+  JobSpec spec;
+  spec.population = &tiny;
+  spec.req = {0.05, 0.05};
+  spec.seed = 22;
+  spec.max_attempts = 2;
+  const JobResult r = svc.wait(svc.submit(spec));
+  EXPECT_EQ(r.status, JobStatus::kDone);
+  EXPECT_EQ(r.attempts, 2u);
+  EXPECT_FALSE(r.outcome.met_by_design);
+  EXPECT_FALSE(r.outcome.infeasible);
+  EXPECT_EQ(svc.metrics().retries, 1u);
 }
 
 TEST(EstimationService, AirtimeBudgetMissesDeadlineDeterministically) {

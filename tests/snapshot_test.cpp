@@ -191,6 +191,7 @@ void expect_bit_identical(const JobResult& a, const JobResult& b,
   EXPECT_EQ(a.outcome.airtime.tag_tx_bits, b.outcome.airtime.tag_tx_bits);
   EXPECT_EQ(a.outcome.rounds, b.outcome.rounds);
   EXPECT_EQ(a.outcome.met_by_design, b.outcome.met_by_design);
+  EXPECT_EQ(a.outcome.infeasible, b.outcome.infeasible);
   EXPECT_EQ(a.outcome.note, b.outcome.note);
   EXPECT_EQ(a.airtime_s, b.airtime_s);
   for (std::size_t s = 0; s < rfid::kFrameShapeCount; ++s) {
@@ -276,6 +277,8 @@ ServiceSnapshot fabricated_snapshot() {
   snap.completed.emplace_back(2, done);
 
   JobResult tracked = done;
+  tracked.outcome.met_by_design = false;
+  tracked.outcome.infeasible = true;
   tracked.outcome.note = "tracking: fabricated";
   tracking::TrackResult t;
   t.reader_id = 7;
@@ -628,6 +631,26 @@ TEST(SnapshotFaults, HostileCountsCannotForceAllocation) {
     EXPECT_EQ(decode_snapshot(with_valid_header(w.take()), out),
               SnapshotError::kMalformed);
   }
+  // An outcome design byte outside {missed, met, infeasible}.
+  {
+    util::ByteWriter w;
+    w.u64(substrate_fingerprint(rfid::FrameMode::kSampled, {}, {}));
+    w.u64(1);
+    w.u64(0);
+    w.u64(0);
+    w.u8(0);
+    w.u64(1);  // completed count
+    w.u64(3);  // id
+    w.u8(static_cast<std::uint8_t>(JobStatus::kDone));
+    for (int i = 0; i < 3; ++i) w.f64(1.0);  // n̂, CI
+    for (int i = 0; i < 4; ++i) w.u64(1);    // airtime ledger
+    w.f64(1.0);                              // time_us
+    w.u32(1);                                // rounds
+    w.u8(3);                                 // design byte
+    ServiceSnapshot out;
+    EXPECT_EQ(decode_snapshot(with_valid_header(w.take()), out),
+              SnapshotError::kMalformed);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -659,7 +682,7 @@ TEST(SnapshotFile, SaveLoadRoundTripAndAtomicReplace) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden fixture: the committed bytes pin format version 1.
+// Golden fixture: the committed bytes pin format version 2.
 
 TEST(SnapshotGolden, CommittedFixtureMatchesEncoder) {
   const std::string path = std::string(BFCE_TEST_DATA_DIR) +
