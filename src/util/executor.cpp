@@ -261,9 +261,14 @@ void Executor::worker_loop() {
     std::uint64_t steals = 0;
     participate(*job, slot, &steals);
     if (steals != 0) steals_.fetch_add(steals, std::memory_order_relaxed);
-    if (job->helpers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    {
+      // Leave under done_mu: run_bounded destroys the Job once it sees
+      // helpers == 0, so the decrement must be this thread's last touch
+      // and the caller must not see it before the notify is done.
       std::lock_guard<std::mutex> lk(job->done_mu);
-      job->done_cv.notify_all();
+      if (job->helpers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        job->done_cv.notify_all();
+      }
     }
   }
 }

@@ -235,6 +235,32 @@ TEST(Executor, CallerThreadIsNotAWorker) {
   EXPECT_FALSE(Executor::on_worker_thread());
 }
 
+TEST(Executor, BackToBackTinyJobsFromTwoCallers) {
+  // Two callers each finish ~20 000 jobs of 2–8 trivial indices. A job
+  // lives on its caller's stack, so a helper's last touch of it must come
+  // before the caller can see the helper gone; under the tsan preset a
+  // later touch is reported as a race with the Job's destructor.
+  constexpr std::size_t kCalls = 20000;
+  std::atomic<std::size_t> visits{0};
+  const auto caller = [&](std::size_t salt) {
+    for (std::size_t c = 0; c < kCalls; ++c) {
+      parallel_for(
+          0, 2 + (c + salt) % 7,
+          [&](std::size_t) { visits.fetch_add(1, std::memory_order_relaxed); },
+          8);
+    }
+  };
+  std::thread first(caller, 0);
+  std::thread second(caller, 3);
+  first.join();
+  second.join();
+  std::size_t expected = 0;
+  for (const std::size_t salt : {0u, 3u}) {
+    for (std::size_t c = 0; c < kCalls; ++c) expected += 2 + (c + salt) % 7;
+  }
+  EXPECT_EQ(visits.load(), expected);
+}
+
 TEST(Executor, ResultsIdenticalAcrossPoolSizes) {
   // Bit-identity at the executor level: fn(i) is a pure function of i, so
   // any pool size must produce the same output array.
