@@ -124,6 +124,34 @@ def check_exit_codes() -> None:
     print("ok: exit-code contract")
 
 
+def check_stale_build_tree() -> None:
+    """A compile database left in a build tree must not decide what is
+    scanned: one naming only a missing file sits beside a bad fixture,
+    and the fixture's rule must still fire."""
+    fixture = os.path.join(FIXTURES, "rng_provenance", "src",
+                           "bad_literal_seed.cpp")
+    with open(fixture, encoding="utf-8") as fh:
+        text = fh.read()
+    rules = set(EXPECT_RE.findall(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        os.makedirs(os.path.join(tmp, "src"))
+        with open(os.path.join(tmp, "src", "bad_literal_seed.cpp"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text)
+        os.makedirs(os.path.join(tmp, "build-stale"))
+        with open(os.path.join(tmp, "build-stale", "compile_commands.json"),
+                  "w", encoding="utf-8") as fh:
+            json.dump([{"directory": tmp, "file": "src/removed.cpp",
+                        "command": "c++ -c src/removed.cpp"}], fh)
+        code, stdout, _ = run_analyzer(tmp)
+    got = parse_findings(stdout).get("src/bad_literal_seed.cpp", set())
+    if code != 1 or got != rules:
+        fail(f"stale build tree: exit {code} with rules {sorted(got)}, "
+             f"want 1 with {sorted(rules)}")
+    else:
+        print("ok: stale build tree does not narrow the scan")
+
+
 def check_sarif() -> None:
     """Structural validation of the SARIF 2.1.0 output on a family that
     fires several rules."""
@@ -193,6 +221,7 @@ def main() -> int:
     for family in families:
         check_family(family)
     check_exit_codes()
+    check_stale_build_tree()
     check_sarif()
     if failures:
         print(f"\n{len(failures)} fixture check(s) failed")

@@ -32,8 +32,8 @@ def main(argv: list[str] | None = None) -> int:
         description="bfce semantic invariant analyzer")
     ap.add_argument("paths", nargs="*",
                     help="files or directories to scan "
-                         "(default: <root>/src via compile_commands.json "
-                         "when available)")
+                         "(default: every source and header under "
+                         "<root>/src)")
     ap.add_argument("--root", default=".",
                     help="repository root (default: cwd)")
     ap.add_argument("--sarif", metavar="OUT",

@@ -1,18 +1,15 @@
 """Analysis driver: file discovery, parsing, rule dispatch, suppression
 application and the human-readable report.
 
-File discovery prefers the compile database (`compile_commands.json`
-exported by any build dir under the root) for the .cpp list — exactly
-the TUs the build compiles — and always unions in headers by glob, since
-headers never appear in a compile database.  Without a compile database
-it falls back to a pure glob, so the analyzer works on a fresh checkout
-before the first configure.
+File discovery globs every source and header under src/ (or the given
+paths). Every .cpp there is listed in a CMakeLists, so a compile
+database would narrow nothing, and a stale one from an old build tree
+would hide files added since.
 """
 
 from __future__ import annotations
 
 import datetime
-import json
 import os
 import sys
 
@@ -27,38 +24,6 @@ DEFAULT_SCAN_PREFIX = "src/"
 
 def _rel(root: str, path: str) -> str:
     return os.path.relpath(os.path.abspath(path), root).replace(os.sep, "/")
-
-
-def _compile_db_files(root: str) -> list[str]:
-    """Repo-relative .cpp files named by any compile_commands.json under
-    the root's build directories (first one found wins)."""
-    candidates = [os.path.join(root, "compile_commands.json")]
-    try:
-        for entry in sorted(os.listdir(root)):
-            if entry.startswith("build"):
-                candidates.append(
-                    os.path.join(root, entry, "compile_commands.json"))
-    except OSError:
-        pass
-    for cand in candidates:
-        if not os.path.isfile(cand):
-            continue
-        try:
-            with open(cand, encoding="utf-8") as fh:
-                db = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        rels = []
-        for tu in db:
-            f = tu.get("file", "")
-            if not os.path.isabs(f):
-                f = os.path.join(tu.get("directory", root), f)
-            rel = _rel(root, f)
-            if not rel.startswith(".."):
-                rels.append(rel)
-        if rels:
-            return rels
-    return []
 
 
 def _glob_sources(root: str, prefix: str) -> list[str]:
@@ -84,13 +49,7 @@ def discover(root: str, paths: list[str] | None = None) -> list[str]:
             elif os.path.isfile(ap):
                 rels.append(_rel(root, ap))
         return sorted(set(rels))
-    db_cpps = [r for r in _compile_db_files(root)
-               if r.startswith(DEFAULT_SCAN_PREFIX)]
-    globbed = _glob_sources(root, DEFAULT_SCAN_PREFIX)
-    if db_cpps:
-        headers = [r for r in globbed if r.endswith(HDR_EXTS)]
-        return sorted(set(db_cpps) | set(headers))
-    return sorted(set(globbed))
+    return sorted(set(_glob_sources(root, DEFAULT_SCAN_PREFIX)))
 
 
 RULE_MODULES = (rules_rng, rules_locks, rules_exec, rules_draws, rules_legacy)
