@@ -10,9 +10,10 @@
 // the snapshot fixture uses) and names the moved rows.
 //
 // Columns: id, n̂, CI low/high, the airtime ledger (reader bits, tag
-// bits, intervals, tag transmissions, total seconds), attempts,
-// met_by_design, service status, the RNG fingerprint (the coordinator
-// stream's next draw after the estimate) and kind-specific extras.
+// bits, intervals, tag transmissions, total seconds), attempts, the
+// design point (1 met, 0 missed, 2 missed at an infeasible requirement),
+// service status, the RNG fingerprint (the coordinator stream's next
+// draw after the estimate) and kind-specific extras.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -102,8 +103,8 @@ std::string row(const std::string& id, const estimators::EstimateOutcome& o,
      << hex(o.ci_high) << '\t' << o.airtime.reader_bits << '\t'
      << o.airtime.tag_bits << '\t' << o.airtime.intervals << '\t'
      << o.airtime.tag_tx_bits << '\t' << hex(airtime_s) << '\t' << attempts
-     << '\t' << (o.met_by_design ? 1 : 0) << '\t' << status << '\t'
-     << fingerprint << '\t' << extra;
+     << '\t' << (o.met_by_design ? 1 : o.infeasible ? 2 : 0) << '\t'
+     << status << '\t' << fingerprint << '\t' << extra;
   return os.str();
 }
 
@@ -357,7 +358,7 @@ std::vector<std::string> corpus() {
 
 constexpr const char* kHeader =
     "# id\tn_hat\tci_low\tci_high\treader_bits\ttag_bits\tintervals\t"
-    "tag_tx_bits\tairtime_s\tattempts\tmet_by_design\tstatus\t"
+    "tag_tx_bits\tairtime_s\tattempts\tdesign\tstatus\t"
     "rng_fingerprint\textra";
 
 TEST(GoldenEstimates, CorpusReplaysBitIdentically) {
