@@ -3,9 +3,9 @@
 //
 // Paper shape: ZOE costs seconds (up to ~18 s worst case, dominated by
 // per-slot 32-bit seed broadcasts and rough-phase restarts); SRC sits in
-// between with visible variance; BFCE is flat at < 0.19 s (plus a few ms
-// of probe cost our ledger includes). Headline averages: BFCE ~30× faster
-// than ZOE, ~2× faster than SRC.
+// between with visible variance; BFCE is flat at < 0.19 s (0.1846 s for a
+// one-probe estimate, 6.04 ms more per abandoned probe). Headline
+// averages: BFCE ~30× faster than ZOE, ~2× faster than SRC.
 //
 // Flags: [--trials=15] [--exact] [--shards=N] — --shards routes every
 // trial through the sharded engine pipeline (reported protocol times are
@@ -111,9 +111,9 @@ int main(int argc, char** argv) {
               "Fig 10 headline: average speedups (primary n sweep at the "
               "default requirement, and all sweep points)",
               headline);
-  std::puts("shape check (paper): BFCE flat (~0.19-0.22 s incl. probes) at "
-            "every point; ZOE seconds (worst cases from restarts); SRC "
-            "between, shrinking as eps/delta loosen.");
+  std::puts("shape check (paper): BFCE flat (0.1846 s closed form, +6 ms "
+            "per extra probe) at every point; ZOE seconds (worst cases from "
+            "restarts); SRC between, shrinking as eps/delta loosen.");
   std::cout << "\n== frame-engine counters (all sweeps) ==\n"
             << core::render_engine_counters(bench::comparison_counters());
   return 0;
