@@ -38,8 +38,10 @@ int main(int argc, char** argv) {
   std::printf("\n-- protocol trace --------------------------------\n");
   std::printf("probe iterations     : %u (settled on p_s = %u/1024)\n",
               trace.probe_iterations, trace.p_s_numerator);
-  std::printf("rough phase          : rho=%.4f over %u slots -> n_r=%.0f\n",
-              trace.rho_rough, trace.rough_slots_observed, trace.n_rough);
+  std::printf("rough phase          : rho=%.4f over slots %u..%u -> "
+              "n_r=%.0f\n",
+              trace.rho_rough, bfce.params().probe_slots,
+              trace.rough_slots_observed, trace.n_rough);
   std::printf("lower bound (c=%.1f)  : n_low=%.0f\n", bfce.params().c,
               trace.n_low);
   std::printf("Theorem-4 choice     : p_o = %u/1024 (margin %.3f, %s)\n",
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(out.airtime.reader_bits),
               static_cast<unsigned long long>(out.airtime.tag_bits),
               static_cast<unsigned long long>(out.airtime.intervals));
-  std::printf("constant-time claim  : < 0.19 s two-phase budget + probe "
-              "cost, independent of n\n");
+  std::printf("constant-time claim  : < 0.19 s: 0.1846 s for one probe, "
+              "+6.04 ms per abandoned probe, independent of n\n");
   return 0;
 }
