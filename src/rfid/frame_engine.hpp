@@ -143,7 +143,7 @@ struct FrameResult {
 /// base derived via util::SeedMixer from one caller-RNG draw and the
 /// frame's broadcast parameters — so the result is a pure function of
 /// the seed and bit-identical for ANY shard count (tests assert 1/4/8,
-/// and tools/lint_determinism.py keeps the walk free of ambient
+/// and tools/analyze's determinism rules keep the walk free of ambient
 /// entropy).
 ///
 /// Sampled mode: the batched sampler draws every frame's binomial

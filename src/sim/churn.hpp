@@ -1,7 +1,7 @@
 #pragma once
 // Dynamic tag populations: arrival/departure processes over monitoring
-// periods. Drives realistic tests and examples for the differential
-// estimator and the CUSUM monitor (a warehouse is never static).
+// periods. Drives population tracking, the CUSUM monitor and their
+// tests and examples (a warehouse is never static).
 
 #include <cstdint>
 
@@ -27,7 +27,7 @@ struct ChurnStep {
 
 /// A tag population evolving over discrete periods with persistent tag
 /// identities (the same Tag object survives across periods until it
-/// departs — which is what makes differential snapshots meaningful).
+/// departs).
 class PopulationTimeline {
  public:
   /// Starts with `initial` tags drawn uniformly; deterministic in seed.

@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "core/bfce.hpp"
-#include "core/differential.hpp"
 #include "math/stats.hpp"
 #include "rfid/reader.hpp"
 
@@ -143,24 +142,6 @@ TEST(Churn, SingletonPopulationSurvivesChurnAndEstimation) {
   EXPECT_EQ(s.departed, 1u);
   EXPECT_EQ(s.population, 0u);
   expect_finite_estimate(tl);
-}
-
-TEST(Churn, DrivesTheDifferentialEstimatorEndToEnd) {
-  // Snapshot, churn one period, snapshot again: the differential
-  // estimate must track the timeline's own ground truth.
-  PopulationTimeline tl(20000, 8);
-  core::DifferentialConfig cfg;
-  cfg.tune_for(20000.0);
-  const rfid::Channel ch;
-  util::Xoshiro256ss rng(9);
-  const auto ref = core::take_snapshot(tl.current(), cfg, ch, rng);
-  const ChurnStep s = tl.step(ChurnModel{0.10, 800.0});
-  const auto now = core::take_snapshot(tl.current(), cfg, ch, rng);
-  const auto churn = core::compare_snapshots(ref, now, cfg);
-  EXPECT_NEAR(churn.departed, static_cast<double>(s.departed),
-              static_cast<double>(s.departed) * 0.35);
-  EXPECT_NEAR(churn.arrived, static_cast<double>(s.arrived),
-              static_cast<double>(s.arrived) * 0.5 + 100.0);
 }
 
 }  // namespace

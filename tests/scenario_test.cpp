@@ -1,12 +1,10 @@
 // Composite scenario test: the library's pieces working together over a
 // 30-period warehouse story — churn timeline, BFCE estimates, CUSUM
-// monitor, differential snapshots, SPRT threshold query.
+// monitor.
 #include <gtest/gtest.h>
 
 #include "core/bfce.hpp"
-#include "core/differential.hpp"
 #include "core/monitor.hpp"
-#include "core/threshold.hpp"
 #include "rfid/reader.hpp"
 #include "sim/churn.hpp"
 
@@ -24,38 +22,10 @@ TEST(Scenario, ThirtyPeriodWarehouseStory) {
   const sim::ChurnModel balanced{0.02, 800.0};  // stationary at 40000
   const sim::ChurnModel draining{0.03, 600.0};  // stationary at 20000
 
-  core::DifferentialConfig snap_cfg;
-  snap_cfg.tune_for(40000.0);
-  const rfid::Channel channel;
-  util::Xoshiro256ss snap_rng(7);
-
   int alarms_phase_a = 0;
   int first_alarm_period = -1;
   for (int period = 1; period <= 30; ++period) {
-    // Take the pre-churn differential reference on the phase boundary.
-    const bool boundary = period == 11;
-    util::BitVector ref;
-    std::size_t pre_churn_size = warehouse.size();
-    if (boundary) {
-      ref = core::take_snapshot(warehouse.current(), snap_cfg, channel,
-                                snap_rng);
-    }
-
-    const sim::ChurnStep step =
-        warehouse.step(period <= 10 ? balanced : draining);
-
-    if (boundary) {
-      // Differential across the first draining period: the estimator
-      // sees the churn the timeline actually applied.
-      const auto now = core::take_snapshot(warehouse.current(), snap_cfg,
-                                           channel, snap_rng);
-      const auto churn = core::compare_snapshots(ref, now, snap_cfg);
-      EXPECT_NEAR(churn.departed, static_cast<double>(step.departed),
-                  static_cast<double>(step.departed) * 0.4);
-      EXPECT_NEAR(churn.arrived, static_cast<double>(step.arrived),
-                  static_cast<double>(step.arrived) * 0.6 + 100.0);
-    }
-    (void)pre_churn_size;
+    warehouse.step(period <= 10 ? balanced : draining);
 
     // Daily BFCE round feeding the monitor.
     rfid::ReaderContext ctx(warehouse.current(),
@@ -75,16 +45,6 @@ TEST(Scenario, ThirtyPeriodWarehouseStory) {
   // Draining phase: the drift is caught within the window.
   EXPECT_GT(first_alarm_period, 10);
   EXPECT_LE(first_alarm_period, 30);
-
-  // End state: the SPRT confirms the population fell below 90% of the
-  // original level (30 periods of draining ⇒ well under 36000).
-  rfid::ReaderContext ctx(warehouse.current(), 999,
-                          rfid::FrameMode::kSampled);
-  core::ThresholdQuery q;
-  q.threshold = 36000.0;
-  const auto ans = core::threshold_query(ctx, q);
-  EXPECT_TRUE(ans.decisive);
-  EXPECT_FALSE(ans.above);
 }
 
 }  // namespace

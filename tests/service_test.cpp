@@ -141,8 +141,8 @@ TEST(EstimationService, ResultsBitIdenticalAcrossWorkerCounts) {
 
 // The determinism regression the tooling PR locks in: the full worker-
 // count × planner-cache matrix must reproduce one reference run bit for
-// bit. This is the invariant the tsan preset and tools/lint_determinism.py
-// exist to protect — if it ever breaks, suspect a nondeterminism source
+// bit. This is the invariant the tsan preset and tools/analyze's
+// determinism rules exist to protect — if it ever breaks, suspect a nondeterminism source
 // (wall clock, unseeded RNG, shared mutable state) smuggled into an
 // estimator path.
 TEST(EstimationService, DeterministicAcrossWorkerCountAndCacheMatrix) {

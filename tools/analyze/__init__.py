@@ -1,6 +1,6 @@
 """bfce semantic invariant analyzer (`python3 tools/analyze`).
 
 Rule families: RNG provenance, lock discipline, counter-addressed draw
-discipline, suppression hygiene, plus the determinism rules ported from
-tools/lint_determinism.py.  See docs/TOOLING.md for the catalogue.
+discipline, suppression hygiene and determinism.  See docs/TOOLING.md for
+the catalogue.
 """

@@ -56,7 +56,7 @@ RULES: list[RuleInfo] = [
              "lint:allow whose expiry date has passed"),
     RuleInfo("suppression-missing-reason", "suppression-hygiene",
              "lint:allow without a justification"),
-    # -- Ported determinism rules (tools/lint_determinism.py lineage) ------
+    # -- Determinism rules ------------------------------------------------
     RuleInfo("random-device", "determinism",
              "std::random_device is ambient entropy; derive seeds with "
              "util::derive_seed / util::SeedMixer"),

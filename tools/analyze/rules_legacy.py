@@ -1,16 +1,12 @@
-"""The determinism rules ported from tools/lint_determinism.py, now
-token/model-based instead of line regexes.
-
-Two get strictly smarter in the port:
+"""The determinism rules, run on the token stream and the declaration
+model:
 
   * `unseeded-rng` is semantic — a `Xoshiro256ss` *member* declared
     without an initializer is exempt when every constructor of its class
     seeds it in the init-list (the analyzer checks the ctors, including
-    out-of-line definitions in another file of the TU), so the old
-    `// lint:allow(unseeded-rng)` member annotations are no longer
-    needed.
-  * string literals and comments can no longer trip any rule, because
-    rules run on the token stream.
+    out-of-line definitions in another file of the TU).
+  * string literals and comments cannot trip any rule, because rules
+    run on the token stream.
 
 Allowlists (wall-clock files, raw-thread directories, static-local
 scope) keep the exact semantics documented in docs/TOOLING.md.
