@@ -19,10 +19,12 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -39,12 +41,27 @@ namespace {
 // ---------------------------------------------------------------------------
 // Helpers
 
-std::string temp_dir() {
-  char tmpl[] = "/tmp/bfce_snapshot_test_XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir == nullptr ? std::string("/tmp") : std::string(dir);
-}
+/// A fresh directory under /tmp, removed with its contents when the
+/// test ends.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/bfce_snapshot_test_XXXXXX";
+    if (::mkdtemp(tmpl) == nullptr) throw std::runtime_error("mkdtemp failed");
+    path_ = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -482,8 +499,8 @@ TEST(SnapshotCodec, ErrorLabelsAreStable) {
 // Fault injection: every planted corruption fails with a typed error.
 
 TEST(SnapshotFaults, ZeroLengthFileIsTruncated) {
-  const std::string dir = temp_dir();
-  const std::string path = dir + "/empty.bfss";
+  const TempDir dir;
+  const std::string path = dir.path() + "/empty.bfss";
   write_file(path, {});
   ServiceSnapshot out;
   EXPECT_EQ(load_snapshot(path, out), SnapshotError::kTruncated);
@@ -657,8 +674,8 @@ TEST(SnapshotFaults, HostileCountsCannotForceAllocation) {
 // File IO
 
 TEST(SnapshotFile, SaveLoadRoundTripAndAtomicReplace) {
-  const std::string dir = temp_dir();
-  const std::string path = dir + "/service.bfss";
+  const TempDir dir;
+  const std::string path = dir.path() + "/service.bfss";
   const ServiceSnapshot snap = fabricated_snapshot();
 
   ASSERT_EQ(save_snapshot(snap, path), SnapshotError::kNone);
