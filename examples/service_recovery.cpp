@@ -108,9 +108,10 @@ int main(int argc, char** argv) {
   // restore into a fresh service, and let the pending jobs re-run from
   // their seeds.
   service::ServiceSnapshot snap;
-  if (const auto err = service::load_snapshot(path, snap);
-      err != service::SnapshotError::kNone) {
-    std::fprintf(stderr, "load failed: %s\n", service::to_cstring(err));
+  const auto load_err = service::load_snapshot(path, snap);
+  std::remove(path.c_str());  // leave nothing behind in /tmp
+  if (load_err != service::SnapshotError::kNone) {
+    std::fprintf(stderr, "load failed: %s\n", service::to_cstring(load_err));
     return 1;
   }
   core::PersistencePlanner restored_planner;
