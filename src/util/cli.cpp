@@ -1,11 +1,34 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
+#include <system_error>
 
 namespace bfce::util {
+
+namespace {
+
+/// Parses all of `value` as a T, or exits 2 naming the option: a numeric
+/// prefix followed by anything else ("5x", "1e4" for an integer,
+/// "0.05,0.1"), a sign on an unsigned option and an out-of-range value
+/// are typos, not values.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& value) {
+  T out{};
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || ptr != end) {
+    std::fprintf(stderr, "invalid value '%s' for option '--%s'\n",
+                 value.c_str(), key.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv,
          std::vector<std::string> allowed) {
@@ -44,18 +67,21 @@ std::string Cli::get(const std::string& key,
 
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoll(it->second);
+  return it == values_.end() ? fallback
+                             : parse_whole<std::int64_t>(key, it->second);
 }
 
 std::uint64_t Cli::get_u64(const std::string& key,
                            std::uint64_t fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoull(it->second);
+  return it == values_.end() ? fallback
+                             : parse_whole<std::uint64_t>(key, it->second);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  return it == values_.end() ? fallback
+                             : parse_whole<double>(key, it->second);
 }
 
 }  // namespace bfce::util

@@ -3,7 +3,7 @@
 //
 // Accepts `--key=value` and `--flag` forms only; anything unrecognised is a
 // hard error so typos in sweep parameters cannot silently fall back to
-// defaults.
+// defaults. The numeric getters parse the whole value or exit 2 as well.
 
 #include <cstdint>
 #include <map>

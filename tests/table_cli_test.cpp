@@ -46,11 +46,14 @@ TEST(Table, NumFormatting) {
 }
 
 TEST(Cli, ParsesTypedOptions) {
-  const char* argv[] = {"prog", "--trials=25", "--eps=0.1", "--csv",
-                        "--name=T2"};
-  Cli cli(5, argv, {"trials", "eps", "name"});
+  const char* argv[] = {"prog",         "--trials=25", "--eps=0.1",
+                        "--csv",        "--name=T2",   "--shards=-1",
+                        "--delta=1e-2"};
+  Cli cli(7, argv, {"trials", "eps", "name", "shards", "delta"});
   EXPECT_EQ(cli.get_int("trials", 0), 25);
   EXPECT_DOUBLE_EQ(cli.get_double("eps", 0.0), 0.1);
+  EXPECT_EQ(cli.get_int("shards", 0), -1);
+  EXPECT_DOUBLE_EQ(cli.get_double("delta", 0.0), 0.01);
   EXPECT_EQ(cli.get("name", ""), "T2");
   EXPECT_TRUE(cli.csv());
   EXPECT_TRUE(cli.has("trials"));
@@ -81,6 +84,43 @@ TEST(CliDeathTest, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "positional"};
   EXPECT_EXIT((Cli(2, argv, {})), ::testing::ExitedWithCode(2),
               "unexpected positional");
+}
+
+// A numeric option parses in full or exits 2 naming the option and the
+// value; none falls back to a prefix or wraps around.
+TEST(CliDeathTest, RejectsNonNumericSeed) {
+  const char* argv[] = {"prog", "--seed=abc"};
+  const Cli cli(2, argv, {});
+  EXPECT_EXIT(static_cast<void>(cli.seed()), ::testing::ExitedWithCode(2),
+              "invalid value 'abc' for option '--seed'");
+}
+
+TEST(CliDeathTest, RejectsExponentInIntegerOption) {
+  const char* argv[] = {"prog", "--trials=1e4"};
+  const Cli cli(2, argv, {"trials"});
+  EXPECT_EXIT(cli.get_int("trials", 0), ::testing::ExitedWithCode(2),
+              "invalid value '1e4' for option '--trials'");
+}
+
+TEST(CliDeathTest, RejectsTrailingCharacters) {
+  const char* argv[] = {"prog", "--n=5x"};
+  const Cli cli(2, argv, {"n"});
+  EXPECT_EXIT(cli.get_int("n", 0), ::testing::ExitedWithCode(2),
+              "invalid value '5x' for option '--n'");
+}
+
+TEST(CliDeathTest, RejectsListInDoubleOption) {
+  const char* argv[] = {"prog", "--eps=0.05,0.1"};
+  const Cli cli(2, argv, {"eps"});
+  EXPECT_EXIT(cli.get_double("eps", 0.0), ::testing::ExitedWithCode(2),
+              "invalid value '0.05,0.1' for option '--eps'");
+}
+
+TEST(CliDeathTest, RejectsNegativeUnsignedOption) {
+  const char* argv[] = {"prog", "--seed=-1"};
+  const Cli cli(2, argv, {});
+  EXPECT_EXIT(cli.get_u64("seed", 0), ::testing::ExitedWithCode(2),
+              "invalid value '-1' for option '--seed'");
 }
 
 }  // namespace
