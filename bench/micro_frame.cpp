@@ -1,26 +1,21 @@
 // Micro-benchmarks (google-benchmark): frame-executor throughput — the
 // simulator's hot path. Shows the exact/sampled cost gap that motivates
-// the two-mode design (DESIGN.md §5), and the legacy-vs-FrameEngine gap
-// that motivates the batched blocked path.
+// the two-mode design (DESIGN.md §5), and what FrameEngine's two walks
+// (sequential per-frame, sharded plan/render/reduce) buy over the
+// pre-engine executor.
 //
-// Three entry points:
+// Two entry points:
 //   * default — the usual google-benchmark driver (filters, repetitions,
 //     --benchmark_* flags all work);
 //   * `--baseline` — a self-timed comparison at n ∈ {1e4, 1e5, 1e6},
 //     written as machine-readable JSON to BENCH_frame.json (and echoed
 //     to stdout): the 16-frame exact Bloom batch through the pre-engine
-//     executor / execute_batch / the sharded walk / the adaptive kAuto
-//     policy, the same batch in sampled mode (legacy executors vs the
-//     batched sampler vs kAuto), and a 16-frame exact ALOHA batch
-//     (sequential vs sharded vs kAuto). The headline `sampled_speedup` /
-//     `aloha_speedup` columns compare sequential against kAUTO — the
-//     policy's "never a pessimization" guarantee means they must stay
-//     ≥ 1; the raw sharded ratios keep their own *_sharded_speedup
-//     columns;
-//   * `--calibrate` — measures every coefficient of the adaptive
-//     planner's cost model on this host and prints them as the
-//     "key value" lines rfid/exec_plan.cpp commits (and BFCE_COST_MODEL
-//     overrides consume). See docs/TOOLING.md.
+//     executor / the sequential engine (frame by frame, the walk a
+//     sequential ReaderContext runs) / the sharded walk, the same batch
+//     in sampled mode (sequential executors vs the batched sampler), and
+//     a 16-frame exact ALOHA batch (sequential vs sharded). Every column
+//     is the median of at least 51 reps; tools/ci.sh --perf-smoke gates
+//     the three sequential ones (`engine`, `sampled`, `aloha`).
 
 #include <benchmark/benchmark.h>
 
@@ -170,9 +165,9 @@ void BM_BloomBatch16Legacy(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomBatch16Legacy)->Arg(10000)->Arg(100000);
 
-// Engine side: the same 16 frames through execute_batch's blocked
-// population walk (persistence decided before hashing, packed Bernoulli,
-// scratch reuse).
+// Engine side: the same 16 frames through a sequential engine's
+// execute_batch, i.e. one per-frame walk each (hoisted hashers, scratch
+// reuse).
 void BM_BloomBatch16Engine(benchmark::State& state) {
   const auto& pop = pop_of(static_cast<std::size_t>(state.range(0)));
   util::Xoshiro256ss rng(7);
@@ -252,85 +247,32 @@ BENCHMARK(BM_AlohaFrameSampled)->Arg(100000)->Arg(1000000);
 // ---------------------------------------------------------------------
 // --baseline: the self-timed acceptance comparison → BENCH_frame.json.
 
-/// Best-of-reps seconds for one run of `body`; repeats until at least
-/// `kMinReps` runs and `kMinTotalS` of accumulated time.
+/// Median seconds for one run of `body` over at least kMinReps runs and
+/// kMinTotalS of accumulated time, after one untimed warm-up (page
+/// faults, scratch growth). Every column uses it, so each speedup ratio
+/// compares like with like; on a shared host the median discards the
+/// reps a load spike landed in, where best-of and mean-of drift apart by
+/// several percent between runs of the same code.
 template <typename F>
-double best_seconds(F&& body) {
-  constexpr int kMinReps = 3;
-  constexpr double kMinTotalS = 0.2;
+double median_seconds(F&& body) {
+  constexpr std::size_t kMinReps = 51;
+  constexpr double kMinTotalS = 0.5;
   using clock = std::chrono::steady_clock;
-  double best = 1e300;
+  body();
+  std::vector<double> reps;
   double total = 0.0;
-  for (int rep = 0; rep < kMinReps || total < kMinTotalS; ++rep) {
+  while (reps.size() < kMinReps || total < kMinTotalS) {
     const auto t0 = clock::now();
     body();
     const auto t1 = clock::now();
     const double s = std::chrono::duration<double>(t1 - t0).count();
-    best = std::min(best, s);
+    reps.push_back(s);
     total += s;
   }
-  return best;
-}
-
-/// Best-of-reps seconds for the two policies of one "auto never loses"
-/// pair, measured on ONE engine instance with the policies alternating
-/// rep by rep. Separate instances differ by several percent from
-/// allocation placement alone, and at n = 1e6 a batch runs ~30 ms, so
-/// sequential back-to-back stages also pick up clock/load drift — both
-/// effects are larger than the planning overhead this ratio gates.
-struct PairSeconds {
-  double first, second;
-};
-PairSeconds paired_seconds(rfid::FrameEngine& engine,
-                           const std::vector<rfid::FrameRequest>& batch,
-                           rfid::ExecutionPolicy first_policy,
-                           rfid::ExecutionPolicy second_policy) {
-  constexpr int kMinReps = 51;
-  constexpr double kMinTotalS = 0.5;
-  using clock = std::chrono::steady_clock;
-  double total = 0.0;
-  util::Xoshiro256ss rng_first(7);
-  util::Xoshiro256ss rng_second(7);
-  const auto timed = [&](const rfid::ExecutionPolicy& policy,
-                         util::Xoshiro256ss& rng) {
-    engine.set_policy(policy);
-    const auto t0 = clock::now();
-    benchmark::DoNotOptimize(engine.execute_batch(batch, rng));
-    const auto t1 = clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    total += s;
-    return s;
-  };
-  // One untimed warm-up of each policy (page faults, scratch growth).
-  timed(first_policy, rng_first);
-  timed(second_policy, rng_second);
-  total = 0.0;
-  // The pair ratio gates "kAuto never loses", so the statistic must
-  // survive a noisy shared host: each rep times the two policies
-  // back-to-back (drift within a rep hits both sides), the rep's ratio
-  // is drift-free, and the MEDIAN over reps discards reps a load spike
-  // landed in. Best-of and mean-of both drift apart by several percent
-  // here even when the two policies execute identical code.
-  std::vector<double> firsts, ratios;
-  for (int rep = 0; rep < kMinReps || total < kMinTotalS; ++rep) {
-    double s_first, s_second;
-    if ((rep & 1) == 0) {  // alternate the leader: symmetric cache handoff
-      s_first = timed(first_policy, rng_first);
-      s_second = timed(second_policy, rng_second);
-    } else {
-      s_second = timed(second_policy, rng_second);
-      s_first = timed(first_policy, rng_first);
-    }
-    firsts.push_back(s_first);
-    ratios.push_back(s_first / s_second);
-  }
-  const auto median = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    return v.size() % 2 == 1 ? v[v.size() / 2]
-                             : 0.5 * (v[v.size() / 2 - 1] + v[v.size() / 2]);
-  };
-  const double first_s = median(firsts);
-  return {first_s, first_s / median(ratios)};
+  std::sort(reps.begin(), reps.end());
+  const std::size_t mid = reps.size() / 2;
+  return reps.size() % 2 == 1 ? reps[mid]
+                              : 0.5 * (reps[mid - 1] + reps[mid]);
 }
 
 /// 16 exact ALOHA frames (f = 1024, p = 1) at distinct seeds — the
@@ -362,14 +304,14 @@ int run_baseline() {
                 kBatchFrames, cfg.w, cfg.k, cfg.p);
   json += buf;
 
-  std::printf("16-frame exact Bloom batch, pre-engine executor vs "
-              "FrameEngine::execute_batch vs the sharded walk;\n"
+  std::printf("16-frame exact Bloom batch, pre-engine executor vs the "
+              "sequential engine vs the sharded walk;\n"
               "plus the same batch in sampled mode (batched sampler) and "
               "a 16-frame exact ALOHA batch (f=1024, p=1)\n");
-  std::printf("%10s %15s %15s %15s %8s %8s %8s %15s %8s %15s %8s\n", "n",
+  std::printf("%10s %15s %15s %15s %8s %8s %15s %8s %15s %8s\n", "n",
               "legacy_tags/s", "engine_tags/s", "sharded_tags/s", "eng_x",
-              "shard_x", "auto_x", "sampled_tags/s", "samp_x",
-              "aloha_tags/s", "aloha_x");
+              "shard_x", "sampled_tags/s", "samp_x", "aloha_tags/s",
+              "aloha_x");
 
   bool first = true;
   for (const std::size_t n : ns) {
@@ -377,7 +319,7 @@ int run_baseline() {
     const rfid::Channel ch;
 
     util::Xoshiro256ss legacy_rng(7);
-    const double legacy_s = best_seconds([&] {
+    const double legacy_s = median_seconds([&] {
       for (const rfid::FrameRequest& req : batch) {
         benchmark::DoNotOptimize(legacy_run_bloom_frame(
             pop, std::get<rfid::BloomFrameConfig>(req.config), ch,
@@ -385,54 +327,47 @@ int run_baseline() {
       }
     });
 
-    // Sequential and kAuto are timed as an interleaved pair on one
-    // instance (see paired_seconds); the raw sharded walk keeps its own
-    // instance and stage, as before.
+    // Exact Bloom: the sequential engine runs the batch frame by frame.
     rfid::FrameEngine engine(pop, ch, rfid::FrameMode::kExact);
-    const PairSeconds bloom_pair = paired_seconds(
-        engine, batch, rfid::ExecutionPolicy::sequential(),
-        rfid::ExecutionPolicy::automatic());
-    const double engine_s = bloom_pair.first;
-    const double bloom_auto_s = bloom_pair.second;
+    util::Xoshiro256ss engine_rng(7);
+    const double engine_s = median_seconds([&] {
+      benchmark::DoNotOptimize(engine.execute_batch(batch, engine_rng));
+    });
 
     rfid::FrameEngine sharded(pop, ch, rfid::FrameMode::kExact,
                               rfid::ExecutionPolicy::sharded());
     util::Xoshiro256ss sharded_rng(7);
-    const double sharded_s = best_seconds([&] {
+    const double sharded_s = median_seconds([&] {
       benchmark::DoNotOptimize(sharded.execute_batch(batch, sharded_rng));
     });
 
     // Sampled mode: the same 16-frame Bloom batch as aggregate response
-    // draws — legacy per-frame executors vs the batched sampler vs kAuto.
+    // draws — sequential per-frame executors vs the batched sampler.
     rfid::FrameEngine sampled(n, ch);
-    const PairSeconds sampled_pair = paired_seconds(
-        sampled, batch, rfid::ExecutionPolicy::sequential(),
-        rfid::ExecutionPolicy::automatic());
-    const double sampled_s = sampled_pair.first;
-    const double sampled_auto_s = sampled_pair.second;
+    util::Xoshiro256ss sampled_rng(7);
+    const double sampled_s = median_seconds([&] {
+      benchmark::DoNotOptimize(sampled.execute_batch(batch, sampled_rng));
+    });
 
     rfid::FrameEngine sampled_shd(n, ch);
     sampled_shd.set_policy(rfid::ExecutionPolicy::sharded());
     util::Xoshiro256ss sampled_shd_rng(7);
-    const double sampled_sharded_s = best_seconds([&] {
+    const double sampled_sharded_s = median_seconds([&] {
       benchmark::DoNotOptimize(
           sampled_shd.execute_batch(batch, sampled_shd_rng));
     });
 
-    // Exact ALOHA: sequential per-frame walk vs the sharded walk vs
-    // kAuto (on few-core hosts the planner must keep this sequential —
-    // the two-plane tile only pays for itself across real shards).
+    // Exact ALOHA: sequential per-frame walk vs the sharded walk.
     rfid::FrameEngine aloha_eng(pop, ch, rfid::FrameMode::kExact);
-    const PairSeconds aloha_pair = paired_seconds(
-        aloha_eng, exact_aloha, rfid::ExecutionPolicy::sequential(),
-        rfid::ExecutionPolicy::automatic());
-    const double aloha_s = aloha_pair.first;
-    const double aloha_auto_s = aloha_pair.second;
+    util::Xoshiro256ss aloha_rng(7);
+    const double aloha_s = median_seconds([&] {
+      benchmark::DoNotOptimize(aloha_eng.execute_batch(exact_aloha, aloha_rng));
+    });
 
     rfid::FrameEngine aloha_shd(pop, ch, rfid::FrameMode::kExact,
                                 rfid::ExecutionPolicy::sharded());
     util::Xoshiro256ss aloha_shd_rng(7);
-    const double aloha_sharded_s = best_seconds([&] {
+    const double aloha_sharded_s = median_seconds([&] {
       benchmark::DoNotOptimize(
           aloha_shd.execute_batch(exact_aloha, aloha_shd_rng));
     });
@@ -441,64 +376,43 @@ int run_baseline() {
     const double legacy_tps = tags / legacy_s;
     const double engine_tps = tags / engine_s;
     const double sharded_tps = tags / sharded_s;
-    const double bloom_auto_tps = tags / bloom_auto_s;
     const double sampled_tps = tags / sampled_s;
     const double sampled_sharded_tps = tags / sampled_sharded_s;
-    const double sampled_auto_tps = tags / sampled_auto_s;
     const double aloha_tps = tags / aloha_s;
     const double aloha_sharded_tps = tags / aloha_sharded_s;
-    const double aloha_auto_tps = tags / aloha_auto_s;
     const double speedup = legacy_s / engine_s;
     const double sharded_speedup = engine_s / sharded_s;
-    // Headline speedups compare the best fixed walk a caller would have
-    // picked by hand (sequential) against the kAuto policy — the
-    // acceptance criterion is that these never drop below ~1. The raw
-    // sharded-vs-sequential ratios keep *_sharded_speedup columns.
-    const double auto_speedup = engine_s / bloom_auto_s;
     const double sampled_sharded_speedup = sampled_s / sampled_sharded_s;
-    const double sampled_speedup = sampled_s / sampled_auto_s;
     const double aloha_sharded_speedup = aloha_s / aloha_sharded_s;
-    const double aloha_speedup = aloha_s / aloha_auto_s;
 
     std::printf(
-        "%10zu %15.3e %15.3e %15.3e %7.2fx %7.2fx %7.2fx %15.3e %7.2fx "
-        "%15.3e %7.2fx\n",
+        "%10zu %15.3e %15.3e %15.3e %7.2fx %7.2fx %15.3e %7.2fx %15.3e "
+        "%7.2fx\n",
         n, legacy_tps, engine_tps, sharded_tps, speedup, sharded_speedup,
-        auto_speedup, sampled_auto_tps, sampled_speedup, aloha_auto_tps,
-        aloha_speedup);
+        sampled_tps, sampled_sharded_speedup, aloha_tps,
+        aloha_sharded_speedup);
 
     std::snprintf(buf, sizeof(buf),
                   "%s\n    {\"n\": %zu, \"legacy_s\": %.6f, "
                   "\"engine_s\": %.6f, \"sharded_s\": %.6f, "
-                  "\"bloom_auto_s\": %.6f, "
                   "\"legacy_tags_per_s\": %.1f, "
                   "\"engine_tags_per_s\": %.1f, "
-                  "\"sharded_tags_per_s\": %.1f, "
-                  "\"bloom_auto_tags_per_s\": %.1f, \"speedup\": %.3f, "
-                  "\"sharded_speedup\": %.3f, \"auto_speedup\": %.3f,\n"
+                  "\"sharded_tags_per_s\": %.1f, \"speedup\": %.3f, "
+                  "\"sharded_speedup\": %.3f,\n"
                   "     \"sampled_s\": %.6f, \"sampled_sharded_s\": %.6f, "
-                  "\"sampled_auto_s\": %.6f, "
                   "\"sampled_tags_per_s\": %.1f, "
                   "\"sampled_sharded_tags_per_s\": %.1f, "
-                  "\"sampled_auto_tags_per_s\": %.1f, "
-                  "\"sampled_sharded_speedup\": %.3f, "
-                  "\"sampled_speedup\": %.3f,\n"
+                  "\"sampled_sharded_speedup\": %.3f,\n"
                   "     \"aloha_s\": %.6f, \"aloha_sharded_s\": %.6f, "
-                  "\"aloha_auto_s\": %.6f, "
                   "\"aloha_tags_per_s\": %.1f, "
                   "\"aloha_sharded_tags_per_s\": %.1f, "
-                  "\"aloha_auto_tags_per_s\": %.1f, "
-                  "\"aloha_sharded_speedup\": %.3f, "
-                  "\"aloha_speedup\": %.3f}",
+                  "\"aloha_sharded_speedup\": %.3f}",
                   first ? "" : ",", n, legacy_s, engine_s, sharded_s,
-                  bloom_auto_s, legacy_tps, engine_tps, sharded_tps,
-                  bloom_auto_tps, speedup, sharded_speedup, auto_speedup,
-                  sampled_s, sampled_sharded_s, sampled_auto_s, sampled_tps,
-                  sampled_sharded_tps, sampled_auto_tps,
-                  sampled_sharded_speedup, sampled_speedup, aloha_s,
-                  aloha_sharded_s, aloha_auto_s, aloha_tps,
-                  aloha_sharded_tps, aloha_auto_tps, aloha_sharded_speedup,
-                  aloha_speedup);
+                  legacy_tps, engine_tps, sharded_tps, speedup,
+                  sharded_speedup, sampled_s, sampled_sharded_s, sampled_tps,
+                  sampled_sharded_tps, sampled_sharded_speedup, aloha_s,
+                  aloha_sharded_s, aloha_tps, aloha_sharded_tps,
+                  aloha_sharded_speedup);
     json += buf;
     first = false;
   }
@@ -516,179 +430,11 @@ int run_baseline() {
   return 0;
 }
 
-// ---------------------------------------------------------------------
-// --calibrate: measure the adaptive planner's cost-model coefficients.
-//
-// Every per-item coefficient is a SLOPE between two population sizes —
-// (t(n2) − t(n1)) / (items(n2) − items(n1)) — so the walk's fixed
-// costs, the w-slot observe term and the plane-word term (all constant
-// in n at fixed w) cancel exactly, leaving the marginal cost the
-// planner multiplies by its item count. Fixed/plane/slot coefficients
-// come from shapes where the per-item work is (near) zero. The par
-// columns and fixed costs are then biased +10%: the planner's promise
-// is "never slower than sequential", so measurement noise must err
-// toward the sequential walk.
-
-/// One frame batch measured under one policy; rng stream style matches
-/// run_baseline (seed 7, advancing across reps).
-double calib_seconds(const std::vector<rfid::FrameRequest>& batch,
-                     rfid::FrameMode mode, std::size_t n,
-                     const rfid::ExecutionPolicy& policy) {
-  const rfid::Channel ch;
-  util::Xoshiro256ss rng(7);
-  if (mode == rfid::FrameMode::kExact) {
-    rfid::FrameEngine engine(pop_of(n), ch, mode, policy);
-    return best_seconds(
-        [&] { benchmark::DoNotOptimize(engine.execute_batch(batch, rng)); });
-  }
-  rfid::FrameEngine engine(n, ch);
-  engine.set_policy(policy);
-  return best_seconds(
-      [&] { benchmark::DoNotOptimize(engine.execute_batch(batch, rng)); });
-}
-
-/// Same cache-line-padded bitmap layout formula as the sharded walk and
-/// the planner (exec_plan.cpp) — the plane coefficient must price the
-/// words that are actually zeroed and merged.
-std::size_t calib_padded_words(std::uint32_t w) {
-  return ((static_cast<std::size_t>(w) + 63) / 64 + 7) & ~std::size_t{7};
-}
-
-std::vector<rfid::FrameRequest> bloom_batch_of(rfid::BloomFrameConfig base) {
-  std::vector<rfid::FrameRequest> batch;
-  batch.reserve(kBatchFrames);
-  for (std::size_t i = 0; i < kBatchFrames; ++i) {
-    base.seeds = {3 * i + 1, 3 * i + 2, 3 * i + 3};
-    batch.push_back(rfid::FrameRequest::bloom(base));
-  }
-  return batch;
-}
-
-int run_calibrate() {
-  constexpr std::size_t kN1 = 100000;
-  constexpr std::size_t kN2 = 1000000;
-  constexpr double kParBias = 1.10;
-
-  rfid::ExecutionPolicy seq_pol;  // sequential
-  rfid::ExecutionPolicy par_pol = rfid::ExecutionPolicy::sharded(1);
-  par_pol.allow_simd = false;
-  par_pol.min_tags_per_shard = 1;
-  rfid::ExecutionPolicy simd_pol = rfid::ExecutionPolicy::sharded(1);
-  simd_pol.min_tags_per_shard = 1;
-
-  struct Row {
-    const char* name;
-    std::vector<rfid::FrameRequest> batch;
-    rfid::FrameMode mode;
-    double items_per_n;  // planner item count per unit n, whole batch
-  };
-
-  rfid::BloomFrameConfig packed = bloom_cfg();  // p = 64/1024, on-grid
-  rfid::BloomFrameConfig plain = bloom_cfg();
-  plain.p = 0.3;  // off the 1/65536 grid → per-pair Bernoulli path
-  rfid::BloomFrameConfig rn = bloom_cfg();
-  rn.persistence = hash::PersistenceMode::kRnBits;
-
-  std::vector<rfid::FrameRequest> singles;
-  std::vector<rfid::FrameRequest> lotteries;
-  for (std::size_t i = 0; i < kBatchFrames; ++i) {
-    singles.push_back(rfid::FrameRequest::single_slot(0.01, 100 + i));
-    lotteries.push_back(rfid::FrameRequest::lottery(32, 100 + i));
-  }
-
-  const double frames = static_cast<double>(kBatchFrames);
-  std::vector<Row> rows;
-  rows.push_back({"bloom_packed", bloom_batch_of(packed),
-                  rfid::FrameMode::kExact, frames * packed.k});
-  rows.push_back({"bloom_plain", bloom_batch_of(plain),
-                  rfid::FrameMode::kExact, frames * plain.k});
-  rows.push_back({"bloom_rn", bloom_batch_of(rn), rfid::FrameMode::kExact,
-                  frames * rn.k});
-  rows.push_back(
-      {"aloha", aloha_batch(), rfid::FrameMode::kExact, frames});
-  rows.push_back({"single", singles, rfid::FrameMode::kExact, frames});
-  rows.push_back({"lottery", lotteries, rfid::FrameMode::kExact, frames});
-  // Sampled scatter: expected draws per unit n = k·p per frame.
-  rows.push_back({"sampled_draw", bloom_batch_of(packed),
-                  rfid::FrameMode::kSampled,
-                  frames * packed.k * packed.p});
-
-  std::printf("# cost model calibrated by bench/micro_frame --calibrate\n"
-              "# (slopes over n=%zu..%zu; par columns biased +%d%%)\n",
-              kN1, kN2, static_cast<int>(kParBias * 100.0) - 100);
-
-  const auto slope_ns = [&](double t1, double t2, double items_per_n) {
-    const double ds = t2 - t1;
-    const double items =
-        items_per_n * static_cast<double>(kN2 - kN1);
-    return std::max(ds * 1e9 / items, 0.01);
-  };
-
-  for (const Row& row : rows) {
-    const double seq1 = calib_seconds(row.batch, row.mode, kN1, seq_pol);
-    const double seq2 = calib_seconds(row.batch, row.mode, kN2, seq_pol);
-    const double par1 = calib_seconds(row.batch, row.mode, kN1, par_pol);
-    const double par2 = calib_seconds(row.batch, row.mode, kN2, par_pol);
-    const double simd1 = calib_seconds(row.batch, row.mode, kN1, simd_pol);
-    const double simd2 = calib_seconds(row.batch, row.mode, kN2, simd_pol);
-    const double seq = slope_ns(seq1, seq2, row.items_per_n);
-    const double par = slope_ns(par1, par2, row.items_per_n) * kParBias;
-    const double par_simd = std::min(
-        slope_ns(simd1, simd2, row.items_per_n) * kParBias, par);
-    std::printf("%s.seq %.3f\n%s.par %.3f\n%s.par_simd %.3f\n", row.name,
-                seq, row.name, par, row.name, par_simd);
-  }
-
-  // Fixed costs: a near-empty exact ALOHA frame (f = 64, n = 512) whose
-  // per-item work is ~1 µs. sharded(2) − sharded(1) isolates one
-  // shard's dispatch; what remains of sharded(1) is the walk setup.
-  const std::vector<rfid::FrameRequest> tiny = {
-      rfid::FrameRequest::aloha(64, 1.0, 7)};
-  rfid::ExecutionPolicy two_pol = rfid::ExecutionPolicy::sharded(2);
-  two_pol.allow_simd = false;
-  two_pol.min_tags_per_shard = 1;
-  const double tiny1 =
-      calib_seconds(tiny, rfid::FrameMode::kExact, 512, par_pol);
-  const double tiny2 =
-      calib_seconds(tiny, rfid::FrameMode::kExact, 512, two_pol);
-  const double shard_fixed =
-      std::max((tiny2 - tiny1) * 1e9, 50.0) * kParBias;
-  const double walk_fixed =
-      std::max(tiny1 * 1e9 - shard_fixed, 100.0) * kParBias;
-
-  // slot_ns: sequential sampled Bloom at p = 0 does nothing but observe
-  // w slots per frame. plane_word_ns: the sharded walk at p = 0 does
-  // nothing but zero + merge + observe its padded bitmap planes.
-  rfid::BloomFrameConfig empty = bloom_cfg();
-  empty.p = 0.0;
-  empty.w = 1u << 20;
-  const auto empty_batch = bloom_batch_of(empty);
-  const double slots_s =
-      calib_seconds(empty_batch, rfid::FrameMode::kSampled, kN2, seq_pol);
-  const double slot_ns =
-      std::max(slots_s * 1e9 / (frames * static_cast<double>(empty.w)),
-               0.01);
-  const double planes_s =
-      calib_seconds(empty_batch, rfid::FrameMode::kSampled, kN2, par_pol);
-  const double plane_words =
-      frames * static_cast<double>(calib_padded_words(empty.w)) * 2.0;
-  const double plane_word_ns =
-      std::max((planes_s * 1e9 - walk_fixed - shard_fixed) / plane_words,
-               0.01) *
-      kParBias;
-
-  std::printf("slot_ns %.3f\nplane_word_ns %.3f\n"
-              "walk_fixed_ns %.1f\nshard_fixed_ns %.1f\n",
-              slot_ns, plane_word_ns, walk_fixed, shard_fixed);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--baseline") return run_baseline();
-    if (std::string_view(argv[i]) == "--calibrate") return run_calibrate();
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

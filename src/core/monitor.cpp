@@ -31,10 +31,8 @@ std::string render_engine_counters(const rfid::EngineCounters& counters) {
   }
   row("total", counters.total());
   std::snprintf(line, sizeof(line),
-                "batches: %llu (%llu via the blocked population walk, "
-                "%llu sharded walks)\n",
+                "batches: %llu (%llu sharded walks)\n",
                 static_cast<unsigned long long>(counters.batches),
-                static_cast<unsigned long long>(counters.blocked_batches),
                 static_cast<unsigned long long>(counters.sharded_walks));
   out += line;
   return out;

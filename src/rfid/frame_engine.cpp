@@ -7,7 +7,6 @@
 
 #include "hash/persistence.hpp"
 #include "hash/slot_hash.hpp"
-#include "rfid/exec_plan.hpp"
 #include "rfid/frame_engine_simd.hpp"
 #include "util/parallel.hpp"
 
@@ -33,12 +32,6 @@ std::uint64_t sum_counts(const std::uint32_t* counts, std::size_t w) {
   for (std::size_t i = 0; i < w; ++i) total += counts[i];
   return total;
 }
-
-// Packed-persistence threshold and its off-grid sentinel now live in
-// rfid/exec_plan.hpp: the planner must mirror the packed-kernel
-// detection exactly, so there is one definition for both.
-using exec::kNoPack16;
-using exec::packed16_threshold;
 
 /// The slot choices of one Bloom frame, premixed once per frame.
 struct HoistedBloomHashes {
@@ -141,7 +134,7 @@ FramePlan hoist_plan(const FrameRequest& request, std::size_t word_offset,
       fr.k = cfg.k;
       fr.w = cfg.w;
       fr.p_n = cfg.p_n;
-      fr.threshold16 = packed16_threshold(cfg.p);
+      fr.threshold16 = detail::packed16_threshold(cfg.p);
       fr.persistence = cfg.persistence;
       for (std::uint32_t j = 0; j < cfg.k; ++j) {
         fr.seeds32[j] = static_cast<std::uint32_t>(cfg.seeds[j]);
@@ -159,7 +152,7 @@ FramePlan hoist_plan(const FrameRequest& request, std::size_t word_offset,
         mix.absorb(static_cast<std::uint64_t>(cfg.k));
         for (std::uint32_t j = 0; j < cfg.k; ++j) mix.absorb(cfg.seeds[j]);
         fr.base = mix.value();
-        if (fr.threshold16 != kNoPack16) {
+        if (fr.threshold16 != detail::kNoPack16) {
           if (cfg.persistence == hash::PersistenceMode::kSharedDraw) {
             fr.lane_mask = detail::lane_mask_for(1);  // one decision per tag
           } else if (cfg.k <= 4) {
@@ -537,10 +530,7 @@ util::BitVector FrameEngine::counts_to_busy(const std::uint32_t* counts,
 
 FrameResult FrameEngine::execute(const FrameRequest& request,
                                  util::Xoshiro256ss& rng) {
-  const FrameRequest* const req_ptr = &request;
-  const bool walk_sharded =
-      policy_.is_sharded() ||
-      (policy_.is_auto() && use_sharded_path(&req_ptr, 1));
+  const bool walk_sharded = policy_.is_sharded();
   if (mode_ == FrameMode::kSampled && walk_sharded) {
     // Sharded sampled engines route every frame through the batched
     // sampler (which does its own counter accounting). A one-frame
@@ -625,34 +615,14 @@ FrameResult FrameEngine::execute(const FrameRequest& request,
 std::vector<FrameResult> FrameEngine::execute_batch(
     const std::vector<FrameRequest>& requests, util::Xoshiro256ss& rng) {
   ++counters_.batches;
-  if ((policy_.is_sharded() || policy_.is_auto()) && !requests.empty()) {
-    bool walk_sharded = policy_.is_sharded();
-    if (!walk_sharded) {
-      std::vector<const FrameRequest*> reqs;
-      reqs.reserve(requests.size());
-      for (const FrameRequest& r : requests) reqs.push_back(&r);
-      walk_sharded = use_sharded_path(reqs.data(), reqs.size());
+  if (policy_.is_sharded() && !requests.empty()) {
+    // One unified pipeline per mode, any shape mix.
+    if (mode_ == FrameMode::kExact && tags_ != nullptr) {
+      return execute_batch_sharded(requests, rng);
     }
-    if (walk_sharded) {
-      // One unified pipeline per mode, any shape mix.
-      if (mode_ == FrameMode::kExact && tags_ != nullptr) {
-        return execute_batch_sharded(requests, rng);
-      }
-      if (mode_ == FrameMode::kSampled) {
-        return execute_sampled_batch(requests, rng);
-      }
+    if (mode_ == FrameMode::kSampled) {
+      return execute_sampled_batch(requests, rng);
     }
-  }
-  bool all_bloom = !requests.empty();
-  for (const FrameRequest& r : requests) {
-    if (r.shape() != FrameShape::kBloom) {
-      all_bloom = false;
-      break;
-    }
-  }
-  if (all_bloom && mode_ == FrameMode::kExact && tags_ != nullptr &&
-      requests.size() >= 2) {
-    return execute_bloom_batch_blocked(requests, rng);
   }
   std::vector<FrameResult> results;
   results.reserve(requests.size());
@@ -821,202 +791,7 @@ void FrameEngine::sampled_lottery(const LotteryFrameConfig& cfg,
   out.busy = counts_to_busy(counts_.data(), cfg.f, rng);
 }
 
-// ---- blocked batch path ----------------------------------------------
-
-std::vector<FrameResult> FrameEngine::execute_bloom_batch_blocked(
-    const std::vector<FrameRequest>& requests, util::Xoshiro256ss& rng) {
-  const auto start = Clock::now();
-  ++counters_.blocked_batches;
-  const std::size_t m = requests.size();
-
-  // Hoist everything the walk reads out of the configs into one flat
-  // struct. The walk writes slot counts through a uint32_t*, so reads of
-  // uint32_t config fields through pointers would have to be reloaded
-  // after every increment (they may alias); the copies below are pulled
-  // into locals inside the loop, which cannot.
-  struct Hoisted {
-    HoistedBloomHashes hashes;
-    std::size_t offset;         // into batch_counts_
-    double p = 1.0;
-    std::uint32_t k = 0;
-    std::uint32_t w = 0;
-    std::uint32_t p_n = 0;
-    std::uint32_t threshold16 = 0;  // packed threshold or kNoPack16
-    std::array<std::uint32_t, kMaxHashes> seeds32{};
-    hash::PersistenceMode persistence = hash::PersistenceMode::kRnBits;
-  };
-  std::vector<Hoisted> hoisted;
-  hoisted.reserve(m);
-  std::size_t total_slots = 0;
-  for (const FrameRequest& r : requests) {
-    const auto& cfg = std::get<BloomFrameConfig>(r.config);
-    assert(cfg.k >= 1 && cfg.k <= kMaxHashes);
-    assert(cfg.hash != HashScheme::kLightweight ||
-           (cfg.w & (cfg.w - 1)) == 0);
-    Hoisted h{HoistedBloomHashes(cfg), total_slots, cfg.p,     cfg.k,
-              cfg.w,                   cfg.p_n,     {},        {},
-              cfg.persistence};
-    h.threshold16 = packed16_threshold(cfg.p);
-    for (std::uint32_t j = 0; j < cfg.k; ++j) {
-      h.seeds32[j] = static_cast<std::uint32_t>(cfg.seeds[j]);
-    }
-    hoisted.push_back(h);
-    total_slots += cfg.w;
-  }
-  batch_counts_.assign(total_slots, 0);
-  std::uint32_t* const counts = batch_counts_.data();
-
-  // Packed persistence decisions come from a SplitMix64 stream derived
-  // from ONE draw of the caller's generator: splitmix has no loop-carried
-  // work beyond a counter increment, so consecutive decisions pipeline
-  // where xoshiro's state chain would serialise them. 16-bit slices of
-  // its output compared against p·65536 realise Bernoulli(p) exactly.
-  // A batch whose frames are all kRnBits never touches it (and so stays
-  // bit-identical to sequential execution).
-  bool any_packed = false;
-  bool any_stochastic = false;
-  for (const Hoisted& h : hoisted) {
-    if (h.persistence == hash::PersistenceMode::kIdealBernoulli ||
-        h.persistence == hash::PersistenceMode::kSharedDraw) {
-      any_stochastic = true;
-      if (h.threshold16 != kNoPack16) any_packed = true;
-    }
-  }
-  util::SplitMix64 persist((any_stochastic && any_packed) ? rng() : 0);
-
-  // One streaming pass over the population for the whole batch, tiled so
-  // each frame's slot counts stay cache-resident while a tile is walked.
-  // Persistence is decided before hashing, so silent (tag, slot) pairs
-  // never pay for a slot computation — with the paper's p_s ≈ 1/16 that
-  // removes ~94% of the hash work the per-frame executors do.
-  const auto& all_tags = tags_->tags();
-  const std::size_t n_tags = all_tags.size();
-  constexpr std::size_t kTile = 2048;
-  for (std::size_t t0 = 0; t0 < n_tags; t0 += kTile) {
-    const std::size_t t1 = n_tags < t0 + kTile ? n_tags : t0 + kTile;
-    for (const Hoisted& h : hoisted) {
-      const std::uint32_t k = h.k;
-      const std::uint32_t w = h.w;
-      std::uint32_t* const frame_counts = counts + h.offset;
-      switch (h.persistence) {
-        case hash::PersistenceMode::kIdealBernoulli: {
-          const std::uint32_t thr = h.threshold16;
-          if (thr != kNoPack16 && k == 3) {
-            // The paper's k: fully unrolled, no mask loop.
-            for (std::size_t t = t0; t < t1; ++t) {
-              const std::uint64_t bits = persist();
-              const bool h0 = (bits & 0xFFFFU) < thr;
-              const bool h1 = ((bits >> 16) & 0xFFFFU) < thr;
-              const bool h2 = ((bits >> 32) & 0xFFFFU) < thr;
-              if (h0 | h1 | h2) {
-                const Tag& tag = all_tags[t];
-                if (h0) ++frame_counts[h.hashes.slot(tag, 0, w)];
-                if (h1) ++frame_counts[h.hashes.slot(tag, 1, w)];
-                if (h2) ++frame_counts[h.hashes.slot(tag, 2, w)];
-              }
-            }
-          } else if (thr != kNoPack16 && k <= 4) {
-            for (std::size_t t = t0; t < t1; ++t) {
-              // All k decisions from one draw, as a branchless hit mask;
-              // most tags decide all-silent and skip the hash loop.
-              std::uint64_t bits = persist();
-              std::uint32_t mask = 0;
-              for (std::uint32_t j = 0; j < k; ++j) {
-                mask |= static_cast<std::uint32_t>((bits & 0xFFFFU) < thr)
-                        << j;
-                bits >>= 16;
-              }
-              if (mask != 0) {
-                const Tag& tag = all_tags[t];
-                for (std::uint32_t j = 0; j < k; ++j) {
-                  if ((mask >> j) & 1U) {
-                    ++frame_counts[h.hashes.slot(tag, j, w)];
-                  }
-                }
-              }
-            }
-          } else {
-            for (std::size_t t = t0; t < t1; ++t) {
-              const Tag& tag = all_tags[t];
-              for (std::uint32_t j = 0; j < k; ++j) {
-                if (rng.bernoulli(h.p)) {
-                  ++frame_counts[h.hashes.slot(tag, j, w)];
-                }
-              }
-            }
-          }
-          break;
-        }
-        case hash::PersistenceMode::kSharedDraw: {
-          const std::uint32_t thr = h.threshold16;
-          for (std::size_t t = t0; t < t1; ++t) {
-            const bool respond = thr != kNoPack16
-                                     ? (persist() & 0xFFFFU) < thr
-                                     : rng.bernoulli(h.p);
-            if (respond) {
-              const Tag& tag = all_tags[t];
-              for (std::uint32_t j = 0; j < k; ++j) {
-                ++frame_counts[h.hashes.slot(tag, j, w)];
-              }
-            }
-          }
-          break;
-        }
-        case hash::PersistenceMode::kRnBits: {
-          const std::uint32_t p_n = h.p_n;
-          for (std::size_t t = t0; t < t1; ++t) {
-            const Tag& tag = all_tags[t];
-            for (std::uint32_t j = 0; j < k; ++j) {
-              const std::uint32_t slot = h.hashes.slot(tag, j, w);
-              if (hash::rn_bits_respond(tag.rn, slot, h.seeds32[j], p_n)) {
-                ++frame_counts[slot];
-              }
-            }
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
-
-  // Channel observation per frame, in request order — the same
-  // frame-major RNG order sequential execution uses.
-  std::vector<FrameResult> results;
-  results.reserve(m);
-  for (const Hoisted& h : hoisted) {
-    FrameResult res;
-    res.shape = FrameShape::kBloom;
-    res.tx = sum_counts(counts + h.offset, h.w);
-    res.busy = counts_to_busy(counts + h.offset, h.w, rng);
-    ShapeCounters& c = counters_.of(FrameShape::kBloom);
-    c.frames += 1;
-    c.slots += h.w;
-    c.tag_tx += res.tx;
-    results.push_back(std::move(res));
-  }
-  counters_.of(FrameShape::kBloom).wall_us += elapsed_us(start);
-  return results;
-}
-
 // ---- sharded exact path ----------------------------------------------
-
-bool FrameEngine::use_sharded_path(const FrameRequest* const* requests,
-                                   std::size_t count) {
-  std::uint32_t hint =
-      policy_.shards != 0 ? policy_.shards : util::default_thread_count();
-  if (hint < 1) hint = 1;
-  const bool simd = policy_.allow_simd && detail::simd_supported();
-  const bool sharded = exec::plan_prefers_sharded(
-      exec::CostModel::active(), requests, count, n_, mode_, hint, simd);
-  if (sharded) {
-    ++counters_.auto_sharded;
-  } else {
-    ++counters_.auto_sequential;
-  }
-  return sharded;
-}
 
 std::uint32_t FrameEngine::effective_shards(std::size_t work) const noexcept {
   std::uint32_t count =

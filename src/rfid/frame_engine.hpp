@@ -9,27 +9,19 @@
 //
 //  * reused scratch buffers — no per-frame slot-count allocation;
 //  * hashers premixed once per frame, outside the tag loop;
-//  * `execute_batch`: a blocked exact-mode path that walks the
-//    population ONCE per batch, computing all k slots of every queued
-//    Bloom frame per tag — the many-frames-over-one-population workload
-//    of the Fig 9/10 sweeps pays the population walk once per batch
-//    instead of once per frame;
+//  * two walks, picked by ExecutionPolicy and nothing else: the
+//    sequential per-frame executors and the sharded plan/render/reduce
+//    pipeline;
 //  * per-shape execution counters (frames, slots simulated, tag
 //    transmissions, host wall-clock), the instrumentation the benches
 //    print via core/monitor.
 //
 // Determinism contract:
-//  * `execute` consumes the caller's RNG in exactly the order the legacy
-//    `run_*` / `sampled_*` executors did — results are bit-identical, so
-//    `sim::run_experiment` stays a pure function of (master seed, trial
-//    index) across the refactor.
-//  * `execute_batch` is equally deterministic (a pure function of the
-//    engine state, the request list and the RNG state), but the blocked
-//    path draws its persistence decisions from a stream derived from one
-//    draw of the caller's generator, so it is bit-identical to sequential
-//    execution only when the tag-side responses draw no RNG
-//    (PersistenceMode::kRnBits). For the stochastic persistence modes it
-//    realises the same law (tests verify by two-sample KS).
+//  * Under a sequential policy `execute` consumes the caller's RNG in
+//    exactly the order the legacy `run_*` / `sampled_*` executors did —
+//    results are bit-identical, so `sim::run_experiment` stays a pure
+//    function of (master seed, trial index) across the refactor — and
+//    `execute_batch` is `execute` over the requests in order.
 //  * The opt-in sharded pipeline (ExecutionPolicy) extends the same
 //    contract to intra-frame parallelism for EVERY shape × mode through
 //    one plan/render/reduce decomposition: each frame is hoisted into a
@@ -163,13 +155,8 @@ struct FrameResult {
 struct ExecutionPolicy {
   /// Walk selection. kSequential preserves the legacy RNG-stream
   /// contract; kSharded trades it for intra-frame parallelism plus the
-  /// vectorised decision/scatter kernels; kAuto prices each frame /
-  /// batch with the committed cost model (rfid/exec_plan.hpp) and picks
-  /// whichever walk is cheaper — never slower than kSequential, and for
-  /// law-divergent batches the choice is a pure function of the request
-  /// list, the population size and the committed table (not the host),
-  /// so kAuto results stay reproducible across machines.
-  enum class Walk : std::uint8_t { kSequential = 0, kSharded = 1, kAuto = 2 };
+  /// vectorised decision/scatter kernels.
+  enum class Walk : std::uint8_t { kSequential = 0, kSharded = 1 };
 
   Walk walk = Walk::kSequential;
   /// Worker shards; 0 ⇒ util::default_thread_count() (BFCE_THREADS).
@@ -186,24 +173,11 @@ struct ExecutionPolicy {
   [[nodiscard]] constexpr bool is_sharded() const noexcept {
     return walk == Walk::kSharded;
   }
-  [[nodiscard]] constexpr bool is_auto() const noexcept {
-    return walk == Walk::kAuto;
-  }
 
   static constexpr ExecutionPolicy sequential() noexcept { return {}; }
   static constexpr ExecutionPolicy sharded(std::uint32_t count = 0) noexcept {
     ExecutionPolicy policy;
     policy.walk = Walk::kSharded;
-    policy.shards = count;
-    return policy;
-  }
-  /// Adaptive policy: the engine routes each frame / batch through
-  /// whichever walk the cost model prices cheaper. `count` caps the
-  /// shard hint like sharded()'s argument does (0 ⇒ BFCE_THREADS /
-  /// hardware count).
-  static constexpr ExecutionPolicy automatic(std::uint32_t count = 0) noexcept {
-    ExecutionPolicy policy;
-    policy.walk = Walk::kAuto;
     policy.shards = count;
     return policy;
   }
@@ -230,11 +204,11 @@ struct ShapeCounters {
 struct EngineCounters {
   std::array<ShapeCounters, kFrameShapeCount> by_shape{};
   std::uint64_t batches = 0;          ///< execute_batch calls
-  std::uint64_t blocked_batches = 0;  ///< batches taken by the blocked path
+  std::uint64_t blocked_batches = 0;  ///< always 0; bench_e2e, snapshot read it
   std::uint64_t sharded_walks = 0;    ///< sharded walks / batched-sampler runs
   std::uint64_t sampled_batches = 0;  ///< batched-sampler runs (subset)
-  std::uint64_t auto_sharded = 0;     ///< kAuto decisions routed sharded
-  std::uint64_t auto_sequential = 0;  ///< kAuto decisions routed sequential
+  std::uint64_t auto_sharded = 0;     ///< always 0; bench_e2e reads it
+  std::uint64_t auto_sequential = 0;  ///< always 0; bench_e2e reads it
 
   ShapeCounters& of(FrameShape s) noexcept {
     return by_shape[static_cast<std::size_t>(s)];
@@ -295,20 +269,13 @@ class FrameEngine {
   /// it consumes `rng` exactly as the legacy executor for (shape, mode)
   /// did — bit-identical results; a sharded policy routes through the
   /// plan/render/reduce walk (exact) or the batched sampler (sampled),
-  /// see the ExecutionPolicy contract. A kAuto policy picks per frame
-  /// with the cost model (use_sharded_path).
+  /// see the ExecutionPolicy contract.
   FrameResult execute(const FrameRequest& request, util::Xoshiro256ss& rng);
 
   /// Executes a batch of frames. A sharded policy runs the whole batch
   /// (any shape mix) through one plan/render/reduce walk (exact) or one
-  /// batched-sampler pass (sampled); a kAuto policy does the same only
-  /// when the cost model prices the walk cheaper than the sequential
-  /// dispatch below, pinning the decision to the committed scalar floor
-  /// whenever the two walks diverge in bits. Sequential policies keep the
-  /// legacy dispatch: all-Bloom exact-mode batches of ≥ 2 frames take
-  /// the blocked path (one population walk for the whole batch);
-  /// everything else runs the frames sequentially through execute().
-  /// See the determinism contract above.
+  /// batched-sampler pass (sampled); a sequential policy runs execute()
+  /// over the requests in order. See the determinism contract above.
   std::vector<FrameResult> execute_batch(
       const std::vector<FrameRequest>& requests, util::Xoshiro256ss& rng);
 
@@ -334,10 +301,6 @@ class FrameEngine {
   void sampled_lottery(const LotteryFrameConfig& cfg, util::Xoshiro256ss& rng,
                        FrameResult& out);
 
-  /// Blocked exact-mode Bloom batch: one population walk for all frames.
-  std::vector<FrameResult> execute_bloom_batch_blocked(
-      const std::vector<FrameRequest>& requests, util::Xoshiro256ss& rng);
-
   /// Universal sharded exact-mode frame / batch (any shape mix): the
   /// plan/render/reduce walk with counter-addressed decisions,
   /// shard-private planes and word-wide merge.
@@ -357,12 +320,6 @@ class FrameEngine {
   /// mode, response draws in sampled mode).
   [[nodiscard]] std::uint32_t effective_shards(std::size_t work) const noexcept;
 
-  /// The kAuto routing decision for one frame / batch: prices both
-  /// walks with the committed cost model (rfid/exec_plan.hpp) and bumps
-  /// the auto_sharded / auto_sequential counter for the winner.
-  bool use_sharded_path(const FrameRequest* const* requests,
-                        std::size_t count);
-
   /// counts_[0..w) → busy bitmap through the channel (frame-major RNG).
   util::BitVector counts_to_busy(const std::uint32_t* counts, std::size_t w,
                                  util::Xoshiro256ss& rng) const;
@@ -374,7 +331,7 @@ class FrameEngine {
   ExecutionPolicy policy_;
   EngineCounters counters_;
   std::vector<std::uint32_t> counts_;        ///< per-frame scratch
-  std::vector<std::uint32_t> batch_counts_;  ///< blocked/sampler slot counts
+  std::vector<std::uint32_t> batch_counts_;  ///< sampler lottery slot counts
   std::vector<std::uint64_t> shard_bits_;    ///< walk + sampler word planes
   std::vector<std::uint64_t> shard_tx_;      ///< sharded-path tx tallies
   std::vector<std::uint16_t> lane_scratch_;  ///< sharded-path lane ids

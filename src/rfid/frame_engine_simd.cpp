@@ -336,6 +336,14 @@ aloha_tile_avx512(const Tag* tags, std::size_t t0, std::size_t t1,
 
 }  // namespace
 
+std::uint32_t packed16_threshold(double p) noexcept {
+  if (p <= 0.0) return 0;
+  if (p >= 1.0) return 65536;
+  const double scaled = p * 65536.0;
+  if (scaled != std::floor(scaled)) return kNoPack16;
+  return static_cast<std::uint32_t>(scaled);
+}
+
 bool simd_supported() noexcept {
 #if BFCE_HAVE_AVX512_KERNEL
   static const bool supported =

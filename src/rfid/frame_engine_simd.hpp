@@ -1,6 +1,7 @@
 #pragma once
-// Internal: the counter-addressed kernels of the sharded execution
-// pipeline (ExecutionPolicy in frame_engine.hpp).
+// Internal: the counter-addressed kernels of the sharded walk
+// (ExecutionPolicy::sharded in frame_engine.hpp) and the packed
+// persistence threshold they compare against.
 //
 // bloom_decide_tile answers, for every (tag t, hash j) pair of one
 // tile, "does the pair respond?" — where decision j of tag t is the
@@ -44,6 +45,16 @@ inline constexpr std::size_t kShardLaneCapacity = kShardTile * 4;
 constexpr std::uint32_t lane_mask_for(std::uint32_t k) noexcept {
   return 0x11111111U * ((1U << k) - 1U);
 }
+
+/// Sentinel of packed16_threshold: p is off the 1/65536 grid, the
+/// packed persistence kernels do not apply.
+inline constexpr std::uint32_t kNoPack16 = 0xFFFFFFFFU;
+
+/// Exact 16-bit threshold for Bernoulli(p) decisions packed four to a
+/// 64-bit draw, or kNoPack16 when p is not on the 1/65536 grid (the
+/// 1/1024 persistence grid of §IV-E.3 always is). A uniform 16-bit
+/// slice compared against p·65536 realises Bernoulli(p) exactly.
+std::uint32_t packed16_threshold(double p) noexcept;
 
 /// True when the AVX-512 kernel is compiled in and the CPU reports the
 /// required extensions (F, BW, DQ, VBMI2).

@@ -55,8 +55,8 @@ class ReaderContext {
     return engine_.execute(request, rng_);
   }
 
-  /// Executes a batch of frames through the engine (blocked population
-  /// walk for all-Bloom exact batches).
+  /// Executes a batch of frames through the engine (one sharded walk
+  /// under a sharded policy, else the frames one by one in order).
   std::vector<FrameResult> run_batch(const std::vector<FrameRequest>& batch) {
     return engine_.execute_batch(batch, rng_);
   }

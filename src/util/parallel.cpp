@@ -12,8 +12,8 @@ namespace bfce::util {
 
 unsigned default_thread_count() {
   // hardware_concurrency() re-reads /sys/devices/system/cpu on every
-  // call (~1 µs) — far too slow for a function the adaptive planner
-  // consults per frame. The count cannot change for a running process,
+  // call (~1 µs) — far too slow for a function every sharded frame
+  // consults. The count cannot change for a running process,
   // so resolve it once; the BFCE_THREADS override below stays dynamic.
   static const unsigned hw = [] {
     const unsigned raw = std::thread::hardware_concurrency();

@@ -4,9 +4,11 @@
 //   * execute() is bit-identical to the pre-refactor free executors for
 //     every (shape, mode) pair — including identical RNG consumption, so
 //     downstream draws stay aligned;
-//   * execute_batch() is bit-identical to sequential execution when the
-//     tag-side responses draw no RNG (PersistenceMode::kRnBits), and
-//     law-equivalent (two-sample KS) for the stochastic persistence modes;
+//   * a sequential execute_batch() is execute() over the requests in
+//     order, bit-identical for every shape, mode and persistence mode;
+//   * the sharded walk is bit-identical for any shard count, bit-identical
+//     to the sequential walk where tag-side responses draw no RNG, and
+//     law-equivalent (two-sample KS) where they do;
 //   * the per-shape counters add up.
 //
 // The pre-refactor executors are embedded verbatim below as `ref_*` so
@@ -376,68 +378,41 @@ std::vector<FrameRequest> bloom_batch(hash::PersistenceMode mode,
   return batch;
 }
 
-// kRnBits tag responses draw no RNG, so the blocked population walk is
-// bit-identical to sequential execution — including with an imperfect
-// channel, whose draws stay frame-major on both paths.
-TEST(FrameEngineBatch, RnBitsBitIdenticalToSequential) {
+// A sequential batch is execute() over the requests in order, so an
+// all-Bloom batch is bit-identical to issuing its frames one at a time in
+// every persistence mode — including with an imperfect channel, whose
+// draws stay frame-major on both paths.
+TEST(FrameEngineBatch, BloomBatchBitIdenticalToSequential) {
   const TagPopulation pop = test_pop(3000);
-  for (const Channel ch :
-       {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
-    const auto batch =
-        bloom_batch(hash::PersistenceMode::kRnBits, 8, 100);
-    FrameEngine batched(pop, ch, FrameMode::kExact);
-    FrameEngine sequential(pop, ch, FrameMode::kExact);
-    util::Xoshiro256ss batch_rng(3);
-    util::Xoshiro256ss seq_rng(3);
-    const auto batch_res = batched.execute_batch(batch, batch_rng);
-    std::vector<FrameResult> seq_res;
-    for (const FrameRequest& r : batch) {
-      seq_res.push_back(sequential.execute(r, seq_rng));
-    }
-    ASSERT_EQ(batch_res.size(), seq_res.size());
-    for (std::size_t i = 0; i < batch_res.size(); ++i) {
-      EXPECT_EQ(batch_res[i].busy.words(), seq_res[i].busy.words());
-      EXPECT_EQ(batch_res[i].tx, seq_res[i].tx);
-    }
-    expect_same_rng(batch_rng, seq_rng);
-    EXPECT_EQ(batched.counters().blocked_batches, 1u);
-  }
-}
-
-// The stochastic persistence modes reorder (and pack) the tag-side
-// draws, so the blocked path promises the same law, not the same bits:
-// compare per-frame busy-count distributions with a two-sample KS test.
-TEST(FrameEngineBatch, StochasticModesMatchSequentialLaw) {
-  const TagPopulation pop = test_pop(1500);
-  const Channel ch;
-  for (const auto mode : {hash::PersistenceMode::kIdealBernoulli,
-                          hash::PersistenceMode::kSharedDraw}) {
-    std::vector<double> batched_counts;
-    std::vector<double> sequential_counts;
-    for (std::uint64_t trial = 0; trial < 120; ++trial) {
-      const auto batch = bloom_batch(mode, 4, 1000 + 97 * trial);
+  for (const auto mode :
+       {hash::PersistenceMode::kIdealBernoulli,
+        hash::PersistenceMode::kSharedDraw, hash::PersistenceMode::kRnBits}) {
+    for (const Channel ch :
+         {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
+      const auto batch = bloom_batch(mode, 8, 100);
       FrameEngine batched(pop, ch, FrameMode::kExact);
-      util::Xoshiro256ss batch_rng(500 + trial);
-      for (const FrameResult& r : batched.execute_batch(batch, batch_rng)) {
-        batched_counts.push_back(static_cast<double>(r.busy.count_ones()));
-      }
       FrameEngine sequential(pop, ch, FrameMode::kExact);
-      util::Xoshiro256ss seq_rng(9000 + trial);
+      util::Xoshiro256ss batch_rng(3);
+      util::Xoshiro256ss seq_rng(3);
+      const auto batch_res = batched.execute_batch(batch, batch_rng);
+      std::vector<FrameResult> seq_res;
       for (const FrameRequest& r : batch) {
-        sequential_counts.push_back(static_cast<double>(
-            sequential.execute(r, seq_rng).busy.count_ones()));
+        seq_res.push_back(sequential.execute(r, seq_rng));
       }
+      ASSERT_EQ(batch_res.size(), seq_res.size());
+      for (std::size_t i = 0; i < batch_res.size(); ++i) {
+        EXPECT_EQ(batch_res[i].busy.words(), seq_res[i].busy.words())
+            << "mode " << static_cast<int>(mode) << " frame " << i;
+        EXPECT_EQ(batch_res[i].tx, seq_res[i].tx);
+      }
+      expect_same_rng(batch_rng, seq_rng);
+      EXPECT_EQ(batched.counters().batches, 1u);
     }
-    const double d = math::ks_statistic(batched_counts, sequential_counts);
-    const double p =
-        math::ks_pvalue(d, batched_counts.size(), sequential_counts.size());
-    EXPECT_GT(p, 1e-3) << "mode " << static_cast<int>(mode)
-                       << ": KS D=" << d;
   }
 }
 
-// A batch that mixes shapes cannot take the blocked path; it must be
-// bit-identical to sequential execution.
+// A batch that mixes shapes runs frame by frame as well, in both modes:
+// bit-identical to sequential execution, RNG stream included.
 TEST(FrameEngineBatch, MixedShapesFallBackToSequential) {
   const TagPopulation pop = test_pop(2000);
   const Channel ch;
@@ -448,23 +423,24 @@ TEST(FrameEngineBatch, MixedShapesFallBackToSequential) {
   batch.push_back(FrameRequest::single_slot(0.01, 4));
   batch.push_back(FrameRequest::lottery(32, 5));
 
-  FrameEngine batched(pop, ch, FrameMode::kExact);
-  FrameEngine sequential(pop, ch, FrameMode::kExact);
-  util::Xoshiro256ss batch_rng(17);
-  util::Xoshiro256ss seq_rng(17);
-  const auto batch_res = batched.execute_batch(batch, batch_rng);
-  std::vector<FrameResult> seq_res;
-  for (const FrameRequest& r : batch) {
-    seq_res.push_back(sequential.execute(r, seq_rng));
+  for (const FrameMode mode : {FrameMode::kExact, FrameMode::kSampled}) {
+    FrameEngine batched(pop, ch, mode);
+    FrameEngine sequential(pop, ch, mode);
+    util::Xoshiro256ss batch_rng(17);
+    util::Xoshiro256ss seq_rng(17);
+    const auto batch_res = batched.execute_batch(batch, batch_rng);
+    std::vector<FrameResult> seq_res;
+    for (const FrameRequest& r : batch) {
+      seq_res.push_back(sequential.execute(r, seq_rng));
+    }
+    ASSERT_EQ(batch_res.size(), 4u);
+    EXPECT_EQ(batch_res[0].busy.words(), seq_res[0].busy.words());
+    EXPECT_EQ(batch_res[1].states, seq_res[1].states);
+    EXPECT_EQ(batch_res[2].single, seq_res[2].single);
+    EXPECT_EQ(batch_res[3].busy.words(), seq_res[3].busy.words());
+    expect_same_rng(batch_rng, seq_rng);
+    EXPECT_EQ(batched.counters().batches, 1u);
   }
-  ASSERT_EQ(batch_res.size(), 4u);
-  EXPECT_EQ(batch_res[0].busy.words(), seq_res[0].busy.words());
-  EXPECT_EQ(batch_res[1].states, seq_res[1].states);
-  EXPECT_EQ(batch_res[2].single, seq_res[2].single);
-  EXPECT_EQ(batch_res[3].busy.words(), seq_res[3].busy.words());
-  expect_same_rng(batch_rng, seq_rng);
-  EXPECT_EQ(batched.counters().blocked_batches, 0u);
-  EXPECT_EQ(batched.counters().batches, 1u);
 }
 
 // ---- sharded execution (ExecutionPolicy) ------------------------------
@@ -585,6 +561,15 @@ TEST(FrameEngineSharded, DecideTileSimdMatchesScalar) {
   }
 }
 
+TEST(Packed16Threshold, GridAndSentinel) {
+  EXPECT_EQ(detail::packed16_threshold(0.0), 0u);
+  EXPECT_EQ(detail::packed16_threshold(1.0), 65536u);
+  // The paper's 1/1024 persistence grid is always on the 1/65536 grid.
+  EXPECT_EQ(detail::packed16_threshold(64.0 / 1024.0), 4096u);
+  EXPECT_EQ(detail::packed16_threshold(1.0 / 65536.0), 1u);
+  EXPECT_EQ(detail::packed16_threshold(0.3), detail::kNoPack16);
+}
+
 // Frames the packed kernel cannot take — p off the 1/65536 grid, k > 4,
 // and the p = 1 fast path — still honour shard-count invariance.
 TEST(FrameEngineSharded, EdgeCaseFramesShardInvariant) {
@@ -689,7 +674,6 @@ TEST(FrameEngineSharded, CountsShardedWalks) {
                        rng);
   EXPECT_EQ(engine.counters().sharded_walks, 2u);
   EXPECT_EQ(engine.counters().batches, 1u);
-  EXPECT_EQ(engine.counters().blocked_batches, 0u);
 
   engine.set_policy(ExecutionPolicy::sequential());
   engine.execute(FrameRequest::bloom(cfg), rng);
@@ -971,124 +955,6 @@ TEST(FrameEngineCounters, CountFramesSlotsAndTransmissions) {
 
   engine.reset_counters();
   EXPECT_EQ(engine.counters().total().frames, 0u);
-}
-
-// ---- the adaptive policy (ExecutionPolicy::automatic) -----------------
-//
-// kAuto's contract: whatever the cost model decides, results are
-// bit-identical for any shard count (stream-preserving batches because
-// both walks agree bit-for-bit, law-divergent batches because the
-// decision is pinned to the committed floor and the sharded walk itself
-// is shard-count invariant). These tests drive the real engine through
-// kAuto at pool sizes 1/4/8 and against the sequential policy.
-
-TEST(FrameEngineAuto, ResultsInvariantAcrossShardHints) {
-  const TagPopulation pop = test_pop(3000);
-  const Channel ch;
-  const std::vector<FrameRequest> batch = {
-      FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kRnBits)),
-      FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kIdealBernoulli)),
-      FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kSharedDraw)),
-      FrameRequest::aloha(128, 1.0, 5),
-      FrameRequest::aloha(128, 0.25, 6),
-      FrameRequest::single_slot(0.01, 7),
-      FrameRequest::lottery(32, 8),
-  };
-  for (const FrameMode mode : {FrameMode::kExact, FrameMode::kSampled}) {
-    std::vector<std::vector<FrameResult>> runs;
-    std::vector<std::uint64_t> next_draw;
-    for (const std::uint32_t shards : {1u, 4u, 8u}) {
-      FrameEngine engine(pop, ch, mode, ExecutionPolicy::automatic(shards));
-      util::Xoshiro256ss rng(99);
-      runs.push_back(engine.execute_batch(batch, rng));
-      next_draw.push_back(rng());
-    }
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      ASSERT_EQ(runs[0].size(), runs[i].size());
-      for (std::size_t f = 0; f < runs[0].size(); ++f) {
-        EXPECT_EQ(runs[0][f].busy.words(), runs[i][f].busy.words());
-        EXPECT_EQ(runs[0][f].states, runs[i][f].states);
-        EXPECT_EQ(runs[0][f].single, runs[i][f].single);
-        EXPECT_EQ(runs[0][f].tx, runs[i][f].tx);
-      }
-      // Caller-RNG stream position is part of the contract.
-      EXPECT_EQ(next_draw[0], next_draw[i]);
-    }
-  }
-}
-
-TEST(FrameEngineAuto, StreamPreservingFramesMatchSequentialExactly) {
-  // Per-frame execute() through kAuto, for every stream-preserving
-  // (shape, mode) pair: bit-identical to the sequential policy,
-  // including the RNG stream — regardless of which walk the model
-  // picked.
-  const TagPopulation pop = test_pop(2500);
-  const Channel ch;
-  const std::vector<FrameRequest> frames = {
-      FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kRnBits)),
-      FrameRequest::aloha(256, 1.0, 3),
-      FrameRequest::single_slot(0.5, 4),
-      FrameRequest::lottery(32, 5),
-  };
-  FrameEngine seq(pop, ch, FrameMode::kExact);
-  FrameEngine adaptive(pop, ch, FrameMode::kExact,
-                       ExecutionPolicy::automatic(4));
-  util::Xoshiro256ss seq_rng(21);
-  util::Xoshiro256ss auto_rng(21);
-  for (const FrameRequest& r : frames) {
-    const FrameResult a = seq.execute(r, seq_rng);
-    const FrameResult b = adaptive.execute(r, auto_rng);
-    EXPECT_EQ(a.busy.words(), b.busy.words());
-    EXPECT_EQ(a.states, b.states);
-    EXPECT_EQ(a.single, b.single);
-    EXPECT_EQ(a.tx, b.tx);
-    expect_same_rng(seq_rng, auto_rng);
-  }
-}
-
-TEST(FrameEngineAuto, LawDivergentFramesMatchSequentialLaw) {
-  // Stochastic persistence through kAuto realises the sequential law
-  // (the decision may route either walk; both are law-equivalent).
-  const TagPopulation pop = test_pop(1500);
-  const Channel ch;
-  const auto cfg = bloom_cfg(hash::PersistenceMode::kIdealBernoulli, 256);
-  std::vector<double> seq_occupancy, auto_occupancy;
-  for (std::uint64_t trial = 0; trial < 40; ++trial) {
-    util::Xoshiro256ss s_rng(1000 + trial);
-    util::Xoshiro256ss a_rng(1000 + trial);
-    FrameEngine seq(pop, ch, FrameMode::kExact);
-    FrameEngine adaptive(pop, ch, FrameMode::kExact,
-                         ExecutionPolicy::automatic(4));
-    seq_occupancy.push_back(static_cast<double>(
-        seq.execute(FrameRequest::bloom(cfg), s_rng).busy.count_ones()));
-    auto_occupancy.push_back(static_cast<double>(
-        adaptive.execute(FrameRequest::bloom(cfg), a_rng).busy.count_ones()));
-  }
-  const double d = math::ks_statistic(seq_occupancy, auto_occupancy);
-  if (d > 0.0) {  // d == 0 ⇔ kAuto routed sequential: samples identical
-    const double p =
-        math::ks_pvalue(d, seq_occupancy.size(), auto_occupancy.size());
-    EXPECT_GT(p, 1e-3) << "KS D=" << d;
-  }
-}
-
-TEST(FrameEngineAuto, CountsEveryDecision) {
-  const TagPopulation pop = test_pop(2000);
-  const Channel ch;
-  FrameEngine engine(pop, ch, FrameMode::kExact,
-                     ExecutionPolicy::automatic());
-  util::Xoshiro256ss rng(3);
-  engine.execute(FrameRequest::aloha(64, 1.0, 1), rng);
-  engine.execute(FrameRequest::lottery(32, 2), rng);
-  const std::vector<FrameRequest> batch(
-      4, FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kRnBits)));
-  engine.execute_batch(batch, rng);
-  const EngineCounters& c = engine.counters();
-  // Two per-frame decisions plus one batch-wide decision.
-  EXPECT_EQ(c.auto_sharded + c.auto_sequential, 3u);
-  // And the sequential/sharded bookkeeping stays consistent: every
-  // sharded decision produced a sharded walk.
-  EXPECT_EQ(c.sharded_walks, c.auto_sharded);
 }
 
 }  // namespace

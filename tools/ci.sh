@@ -35,16 +35,15 @@
 #      conformance_test.cpp. Also works against a tsan build dir:
 #      `ctest --test-dir build-tsan -L conformance`.
 #   5. Opt-in (--perf-smoke): reruns `micro_frame --baseline` in the
-#      release build and fails if any gated throughput column —
-#      engine/sampled/aloha sequential plus the three kAuto adaptive
-#      columns — regresses more than 30% at any n against the committed
-#      BENCH_frame.json. The raw sharded columns stay informational:
-#      their absolute numbers depend on core count and AVX-512
-#      availability, while the kAuto columns gate the planner's "never
-#      a pessimization" promise on every host. Then replays the committed BENCH_service.json
-#      workload through fleet_service and fails if throughput collapses
-#      below 0.5x of the committed baseline (or if the cached pass ever
-#      diverges from the uncached one).
+#      release build and fails if a gated column — the sequential
+#      engine/sampled/aloha_tags_per_s — is missing from either file or
+#      regresses more than 30% at any n against the committed
+#      BENCH_frame.json. The sharded columns stay informational: their
+#      absolute numbers depend on core count and AVX-512. Then replays
+#      the committed BENCH_service.json workload through fleet_service
+#      and fails if throughput collapses below 0.5x of the committed
+#      baseline (or if the cached pass ever diverges from the uncached
+#      one).
 #   6. bench_e2e smoke: every workload of the end-to-end wire benchmark
 #      for 2 s (bench_e2e/README.md). Each run exits non-zero unless
 #      every submit is answered, the replayed jobs are bit-identical and
@@ -64,7 +63,8 @@ for arg in "$@"; do
     --conformance) conformance=1 ;;
     --perf-smoke) perf_smoke=1 ;;
     --help|-h)
-      sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
+      # The leading comment block, up to the first non-comment line.
+      awk 'NR == 1 { next } !/^#/ { exit } { sub(/^# ?/, ""); print }' "$0"
       exit 0 ;;
     *) presets+=("${arg}") ;;
   esac
@@ -148,9 +148,9 @@ if [ "${perf_smoke}" -eq 1 ]; then
   fi
   cmake --build --preset release -j "${jobs}" --target micro_frame
   (cd "build-release" && timeout 300 ./bench/micro_frame --baseline)
-  # Gate on the sequential columns: the exact-mode engine walk and the
-  # sampled-mode executors must each stay within 30% of the committed
-  # baseline at every n. (The sharded and legacy columns are
+  # Gate on the sequential columns: the exact-mode Bloom and ALOHA walks
+  # and the sampled-mode executors must each stay within 30% of the
+  # committed baseline at every n. (The sharded and legacy columns are
   # informational — their ratios shift with core count and ISA, and
   # legacy only regresses if the reference does.)
   python3 - BENCH_frame.json build-release/BENCH_frame.json <<'EOF'
@@ -161,29 +161,28 @@ with open(sys.argv[1]) as f:
 with open(sys.argv[2]) as f:
     fresh = {p["n"]: p for p in json.load(f)["points"]}
 
-# Sequential columns exist on every host; the *_auto columns gate the
-# adaptive planner's "never a pessimization" promise (kAuto must track
-# the faster walk, so a collapse there means the cost model routed a
-# batch onto a losing path). aloha_tags_per_s rides the ALOHA pair
-# stage the same way engine/sampled ride theirs.
+# The sequential walks exist on every host. A gated column missing from
+# either file fails the gate: a rename the committed file does not follow
+# would otherwise pass without checking anything.
 GATED = (
     "engine_tags_per_s",
     "sampled_tags_per_s",
     "aloha_tags_per_s",
-    "bloom_auto_tags_per_s",
-    "sampled_auto_tags_per_s",
-    "aloha_auto_tags_per_s",
 )
 failed = False
 for n, base in sorted(committed.items()):
     if n not in fresh:
-        print(f"FAIL: fresh baseline has no point for n={n}")
+        print(f"FAIL: {sys.argv[2]} has no point for n={n}")
         failed = True
         continue
     for column in GATED:
-        if column not in base:
-            # An older committed baseline predates the column; the next
-            # recommit picks it up.
+        missing = [path for path, point in ((sys.argv[1], base),
+                                            (sys.argv[2], fresh[n]))
+                   if column not in point]
+        for path in missing:
+            print(f"FAIL: {path} has no {column} at n={n}")
+        if missing:
+            failed = True
             continue
         old = base[column]
         new = fresh[n][column]
@@ -194,11 +193,11 @@ for n, base in sorted(committed.items()):
         if ratio < 0.7:
             failed = True
 if failed:
-    print("FAIL: a gated throughput column regressed more than 30% "
-          "against the committed BENCH_frame.json")
+    print("FAIL: a gated throughput column is missing or regressed more "
+          "than 30% against the committed BENCH_frame.json")
     sys.exit(1)
-print("perf smoke: sequential, aloha and kAuto throughput within 30% "
-      "of baseline")
+print("perf smoke: sequential engine, sampled and aloha throughput within "
+      "30% of baseline")
 EOF
   echo "==== perf smoke: service throughput ========================"
   if [ ! -f BENCH_service.json ]; then
