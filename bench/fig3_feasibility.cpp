@@ -10,7 +10,7 @@
 
 #include "bench_common.hpp"
 #include "core/analysis.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "util/rng.hpp"
 
 using namespace bfce;
@@ -30,6 +30,10 @@ int main(int argc, char** argv) {
       double ones_sum = 0.0;
       const auto& pop =
           pops.get(n, rfid::TagIdDistribution::kT1Uniform);
+      rfid::FrameEngine engine(
+          pop, rfid::Channel{},
+          cli.has("exact") ? rfid::FrameMode::kExact
+                           : rfid::FrameMode::kSampled);
       for (std::size_t t = 0; t < trials; ++t) {
         util::Xoshiro256ss rng(util::derive_seed(cli.seed(), t * 7919 + n));
         rfid::BloomFrameConfig cfg;
@@ -38,11 +42,8 @@ int main(int argc, char** argv) {
         cfg.p = p;
         cfg.p_n = static_cast<std::uint32_t>(p * 1024.0);
         for (std::uint32_t j = 0; j < kK; ++j) cfg.seeds[j] = rng();
-        const rfid::Channel ch;
         const util::BitVector busy =
-            cli.has("exact")
-                ? rfid::run_bloom_frame(pop, cfg, ch, rng)
-                : rfid::sampled_bloom_frame(n, cfg, ch, rng);
+            engine.execute(rfid::FrameRequest::bloom(cfg), rng).busy;
         // Paper polarity: B(i)=1 ⇔ idle.
         ones_sum += static_cast<double>(kW - busy.count_ones());
       }

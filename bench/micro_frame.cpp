@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "hash/slot_hash.hpp"
-#include "rfid/frame.hpp"
 #include "rfid/frame_engine.hpp"
 #include "rfid/population.hpp"
 #include "util/bitvector.hpp"
@@ -42,9 +41,7 @@ constexpr std::size_t kBatchFrames = 16;
 
 // The PRE-engine Bloom executor, verbatim (per-(tag, j) hasher
 // construction, one Bernoulli draw per hash): the "legacy" side of the
-// batch comparison. The free run_bloom_frame is nowadays a wrapper over
-// the engine and already benefits from its hoisted premixing, so
-// benchmarking it would understate what the engine replaced.
+// batch comparison.
 util::BitVector legacy_run_bloom_frame(const rfid::TagPopulation& tags,
                                        const rfid::BloomFrameConfig& cfg,
                                        const rfid::Channel& channel,
@@ -126,10 +123,10 @@ std::vector<rfid::FrameRequest> bloom_batch() {
 void BM_BloomFrameExact(benchmark::State& state) {
   const auto& pop = pop_of(static_cast<std::size_t>(state.range(0)));
   util::Xoshiro256ss rng(1);
-  const rfid::Channel ch;
-  const auto cfg = bloom_cfg();
+  rfid::FrameEngine engine(pop, rfid::Channel{}, rfid::FrameMode::kExact);
+  const auto request = rfid::FrameRequest::bloom(bloom_cfg());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rfid::run_bloom_frame(pop, cfg, ch, rng));
+    benchmark::DoNotOptimize(engine.execute(request, rng));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -137,11 +134,11 @@ BENCHMARK(BM_BloomFrameExact)->Arg(10000)->Arg(100000);
 
 void BM_BloomFrameSampled(benchmark::State& state) {
   util::Xoshiro256ss rng(2);
-  const rfid::Channel ch;
-  const auto cfg = bloom_cfg();
-  const auto n = static_cast<std::size_t>(state.range(0));
+  rfid::FrameEngine engine(static_cast<std::size_t>(state.range(0)),
+                           rfid::Channel{});
+  const auto request = rfid::FrameRequest::bloom(bloom_cfg());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rfid::sampled_bloom_frame(n, cfg, ch, rng));
+    benchmark::DoNotOptimize(engine.execute(request, rng));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -201,22 +198,24 @@ BENCHMARK(BM_BloomBatch16Sharded)->Arg(10000)->Arg(100000)->Arg(1000000);
 void BM_SingleSlotExact(benchmark::State& state) {
   const auto& pop = pop_of(static_cast<std::size_t>(state.range(0)));
   util::Xoshiro256ss rng(3);
-  const rfid::Channel ch;
+  rfid::FrameEngine engine(pop, rfid::Channel{}, rfid::FrameMode::kExact);
   const double q = 1.594 / static_cast<double>(state.range(0));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rfid::run_single_slot(pop, q, ++seed, ch, rng));
+    benchmark::DoNotOptimize(
+        engine.execute(rfid::FrameRequest::single_slot(q, ++seed), rng));
   }
 }
 BENCHMARK(BM_SingleSlotExact)->Arg(10000)->Arg(100000);
 
 void BM_SingleSlotSampled(benchmark::State& state) {
   util::Xoshiro256ss rng(4);
-  const rfid::Channel ch;
   const auto n = static_cast<std::size_t>(state.range(0));
-  const double q = 1.594 / static_cast<double>(n);
+  rfid::FrameEngine engine(n, rfid::Channel{});
+  const auto request =
+      rfid::FrameRequest::single_slot(1.594 / static_cast<double>(n), 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rfid::sampled_single_slot(n, q, ch, rng));
+    benchmark::DoNotOptimize(engine.execute(request, rng));
   }
 }
 BENCHMARK(BM_SingleSlotSampled)->Arg(100000)->Arg(10000000);
@@ -224,22 +223,23 @@ BENCHMARK(BM_SingleSlotSampled)->Arg(100000)->Arg(10000000);
 void BM_LotteryFrameExact(benchmark::State& state) {
   const auto& pop = pop_of(static_cast<std::size_t>(state.range(0)));
   util::Xoshiro256ss rng(5);
-  const rfid::Channel ch;
+  rfid::FrameEngine engine(pop, rfid::Channel{}, rfid::FrameMode::kExact);
   std::uint64_t seed = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        rfid::run_lottery_frame(pop, 32, ++seed, ch, rng));
+        engine.execute(rfid::FrameRequest::lottery(32, ++seed), rng));
   }
 }
 BENCHMARK(BM_LotteryFrameExact)->Arg(10000)->Arg(100000);
 
 void BM_AlohaFrameSampled(benchmark::State& state) {
   util::Xoshiro256ss rng(6);
-  const rfid::Channel ch;
   const auto n = static_cast<std::size_t>(state.range(0));
+  rfid::FrameEngine engine(n, rfid::Channel{});
+  const auto request = rfid::FrameRequest::aloha(
+      1024, 1.594 * 1024 / static_cast<double>(n), 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        rfid::sampled_aloha_frame(n, 1024, 1.594 * 1024 / static_cast<double>(n), ch, rng));
+    benchmark::DoNotOptimize(engine.execute(request, rng));
   }
 }
 BENCHMARK(BM_AlohaFrameSampled)->Arg(100000)->Arg(1000000);

@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "core/analysis.hpp"
 #include "math/stats.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "util/rng.hpp"
 
 using namespace bfce;
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   util::Table table({"lambda", "p_n", "sd_rho_meas", "sd_rho_pred",
                      "rel_sd_nhat_meas", "rel_sd_nhat_pred"});
   util::Xoshiro256ss rng(cli.seed());
-  const rfid::Channel ch;
+  rfid::FrameEngine engine(n, rfid::Channel{});
 
   for (const double lambda_target : {0.25, 0.5, 1.0, 1.594, 2.5, 4.0}) {
     const auto p_n = static_cast<std::uint32_t>(std::lround(
@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
       rfid::BloomFrameConfig cfg;
       cfg.set_p_numerator(p_n);
       cfg.seeds = {rng(), rng(), rng()};
-      const auto busy = rfid::sampled_bloom_frame(n, cfg, ch, rng);
+      const auto busy =
+          engine.execute(rfid::FrameRequest::bloom(cfg), rng).busy;
       const double rho =
           1.0 - static_cast<double>(busy.count_ones()) / kW;
       rho_stats.add(rho);

@@ -8,7 +8,6 @@
 #include "core/planner.hpp"
 #include "estimators/estimator.hpp"
 #include "hash/persistence.hpp"
-#include "rfid/frame.hpp"
 #include "rfid/reader.hpp"
 #include "util/bitvector.hpp"
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "math/erf.hpp"
@@ -22,14 +23,10 @@ EstimateOutcome A3Estimator::estimate(rfid::ReaderContext& ctx,
     std::uint32_t busy = 0;
     for (std::uint32_t r = 0; r < params_.pivot_slots_per_level; ++r) {
       const std::uint64_t seed = ctx.next_seed();
-      const rfid::SlotState s =
-          ctx.mode() == rfid::FrameMode::kExact
-              ? rfid::run_single_slot(ctx.tags(), q, seed, ctx.channel(),
-                                      ctx.rng(), &out.airtime.tag_tx_bits)
-              : rfid::sampled_single_slot(ctx.tags().size(), q,
-                                          ctx.channel(), ctx.rng(),
-                                          &out.airtime.tag_tx_bits);
-      if (rfid::is_busy(s)) ++busy;
+      const rfid::FrameResult frame =
+          ctx.run_frame(rfid::FrameRequest::single_slot(q, seed));
+      out.airtime.tag_tx_bits += frame.tx;
+      if (rfid::is_busy(frame.single)) ++busy;
       out.airtime.add_reader_broadcast(params_.seed_bits);
       out.airtime.add_tag_slots(1);
     }
@@ -52,13 +49,10 @@ EstimateOutcome A3Estimator::estimate(rfid::ReaderContext& ctx,
     const double p =
         std::min(1.0, params_.lambda_target * f_d / std::max(1.0, n_hat));
     const std::uint64_t seed = ctx.next_seed();
-    const auto states =
-        ctx.mode() == rfid::FrameMode::kExact
-            ? rfid::run_aloha_frame(ctx.tags(), params_.frame_size, p, seed,
-                                    ctx.channel(), ctx.rng(), &out.airtime.tag_tx_bits)
-            : rfid::sampled_aloha_frame(ctx.tags().size(),
-                                        params_.frame_size, p, ctx.channel(),
-                                        ctx.rng(), &out.airtime.tag_tx_bits);
+    const rfid::FrameResult frame =
+        ctx.run_frame(rfid::FrameRequest::aloha(params_.frame_size, p, seed));
+    out.airtime.tag_tx_bits += frame.tx;
+    const std::vector<rfid::SlotState>& states = frame.states;
     out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
     out.airtime.add_tag_slots(params_.frame_size);
     ++out.rounds;

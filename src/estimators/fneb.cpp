@@ -52,8 +52,8 @@ EstimateOutcome FnebEstimator::estimate(rfid::ReaderContext& ctx,
     const std::uint32_t u =
         ctx.mode() == rfid::FrameMode::kExact
             ? exact_first_busy(ctx.tags(), params_.frame_size, seed)
-            : sampled_first_busy(ctx.tags().size(), params_.frame_size,
-                                 ctx.rng());
+            : sampled_first_busy(ctx.engine().population_size(),
+                                 params_.frame_size, ctx.rng());
     out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
     // Early termination: the reader listens to u idle slots plus the
     // busy one, then kills the frame.

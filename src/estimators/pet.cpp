@@ -21,17 +21,13 @@ EstimateOutcome PetEstimator::estimate(rfid::ReaderContext& ctx,
     // q = 2^-l against the per-round seed.
     auto level_busy = [&](std::uint32_t l) {
       const double q = std::ldexp(1.0, -static_cast<int>(l));
-      const rfid::SlotState s =
-          ctx.mode() == rfid::FrameMode::kExact
-              ? rfid::run_single_slot(ctx.tags(), q, seed, ctx.channel(),
-                                      ctx.rng(), &out.airtime.tag_tx_bits)
-              : rfid::sampled_single_slot(ctx.tags().size(), q,
-                                          ctx.channel(), ctx.rng(),
-                                          &out.airtime.tag_tx_bits);
+      const rfid::FrameResult frame =
+          ctx.run_frame(rfid::FrameRequest::single_slot(q, seed));
+      out.airtime.tag_tx_bits += frame.tx;
       out.airtime.add_reader_broadcast(params_.seed_bits +
                                        params_.level_bits);
       out.airtime.add_tag_slots(1);
-      return rfid::is_busy(s);
+      return rfid::is_busy(frame.single);
     };
 
     // Binary search for the highest busy level. Invariant: lo is busy

@@ -39,7 +39,6 @@
 #include "federation/aggregation.hpp"
 #include "federation/fleet.hpp"
 #include "rfid/channel.hpp"
-#include "rfid/frame.hpp"
 #include "rfid/frame_engine.hpp"
 #include "rfid/timing.hpp"
 

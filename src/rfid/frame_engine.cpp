@@ -630,7 +630,7 @@ std::vector<FrameResult> FrameEngine::execute_batch(
   return results;
 }
 
-// ---- scalar paths (bit-identical to the legacy free executors) --------
+// ---- scalar paths (bit-identical to the pre-engine executors) ---------
 //
 // These are the sequential-policy executors and the law reference the
 // equivalence suite tests the sharded pipeline against. Under a sharded

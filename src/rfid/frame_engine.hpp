@@ -1,11 +1,24 @@
 #pragma once
-// FrameEngine — the unified dispatch point for frame execution.
+// FrameEngine — the one place frames are executed.
 //
-// Every protocol in this repository reduces to the four frame shapes of
-// frame.hpp (Bloom, ALOHA, single-slot, lottery), each with an exact
-// (agent-level) and a sampled (aggregate-law) executor. The engine puts
-// all 4 × 2 behind one `FrameRequest` → `FrameResult` seam and adds what
-// the free functions cannot offer:
+// Every estimation protocol in this repository reduces to four frame
+// shapes:
+//
+//   * Bloom frame      — each tag picks k slots by hashing and answers in
+//                        each with persistence p (BFCE).
+//   * ALOHA frame      — each tag picks 1 slot and answers with
+//                        persistence p (UPE, EZB, SRC, ART, A3, MLE).
+//   * Single-slot frame— each tag answers in the sole slot with
+//                        probability q (ZOE, A3's pivot, PET).
+//   * Lottery frame    — each tag picks a geometrically distributed slot
+//                        (LOF).
+//
+// Each shape has an exact executor (`kExact`: walks every tag, the
+// ground-truth agent-level simulation) and a sampled one (`kSampled`:
+// draws aggregate participation counts from the exact Binomial /
+// multinomial laws, statistically equivalent under ideal hashing). The
+// engine puts all 4 × 2 behind one `FrameRequest` → `FrameResult` seam
+// and adds:
 //
 //  * reused scratch buffers — no per-frame slot-count allocation;
 //  * hashers premixed once per frame, outside the tag loop;
@@ -16,11 +29,15 @@
 //    transmissions, host wall-clock), the instrumentation the benches
 //    print via core/monitor.
 //
+// Frames enter through ReaderContext::run_frame / run_batch
+// (rfid/reader.hpp) or FrameEngine::execute / execute_batch directly.
+//
 // Determinism contract:
-//  * Under a sequential policy `execute` consumes the caller's RNG in
-//    exactly the order the legacy `run_*` / `sampled_*` executors did —
-//    results are bit-identical, so `sim::run_experiment` stays a pure
-//    function of (master seed, trial index) across the refactor — and
+//  * Under a sequential policy `execute` runs the scalar executor for
+//    (shape, mode) and consumes the caller's RNG exactly as the
+//    pre-engine executors did (tests/frame_engine_test.cpp keeps them as
+//    `ref_*`) — results are bit-identical, so `sim::run_experiment`
+//    stays a pure function of (master seed, trial index) — and
 //    `execute_batch` is `execute` over the requests in order.
 //  * The opt-in sharded pipeline (ExecutionPolicy) extends the same
 //    contract to intra-frame parallelism for EVERY shape × mode through
@@ -36,9 +53,6 @@
 //    single-slot, lottery) are bit-identical to the sequential walk
 //    too, and sampled mode additionally batches all binomial responder
 //    draws through one pass (the batched sampler).
-//
-// The legacy free functions in frame.hpp survive as thin wrappers over a
-// transient engine, so untouched estimators keep working unchanged.
 
 #include <array>
 #include <cstddef>
@@ -46,8 +60,8 @@
 #include <variant>
 #include <vector>
 
+#include "hash/persistence.hpp"
 #include "rfid/channel.hpp"
-#include "rfid/frame.hpp"
 #include "rfid/population.hpp"
 #include "util/bitvector.hpp"
 #include "util/rng.hpp"
@@ -66,6 +80,37 @@ inline constexpr std::size_t kFrameShapeCount = 4;
 
 /// Short lowercase label ("bloom", "aloha", ...).
 const char* to_cstring(FrameShape shape) noexcept;
+
+/// Agent-level (`kExact`) vs aggregate-law (`kSampled`) execution.
+enum class FrameMode { kExact, kSampled };
+
+/// Which slot-selection hash the tags use in Bloom frames.
+enum class HashScheme {
+  kIdeal,        ///< full-avalanche seeded hash of the tagID
+  kLightweight,  ///< the paper's RN ⊕ RS bitget hash (§IV-E.2)
+};
+
+/// Maximum k supported by the fixed-size seed array (the paper uses 3).
+inline constexpr std::uint32_t kMaxHashes = 8;
+
+/// Parameters of one Bloom frame.
+struct BloomFrameConfig {
+  std::uint32_t w = 8192;  ///< number of bit-slots (power of 2 for kLightweight)
+  std::uint32_t k = 3;     ///< hash functions per tag
+  double p = 1.0;          ///< persistence probability
+  /// Numerator of p = p_n/1024 for PersistenceMode::kRnBits; ignored by
+  /// the other persistence modes.
+  std::uint32_t p_n = 1024;
+  HashScheme hash = HashScheme::kIdeal;
+  hash::PersistenceMode persistence = hash::PersistenceMode::kIdealBernoulli;
+  std::array<std::uint64_t, kMaxHashes> seeds{};
+
+  /// Sets p (and the matching p_n) from a numerator over 1024.
+  void set_p_numerator(std::uint32_t numerator) noexcept {
+    p_n = numerator;
+    p = static_cast<double>(numerator) / 1024.0;
+  }
+};
 
 /// Parameters of one slotted-ALOHA frame (1 hashed slot, persistence p).
 struct AlohaFrameConfig {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "rfid/channel.hpp"
-#include "rfid/frame.hpp"
 #include "rfid/frame_engine.hpp"
 #include "rfid/framelog.hpp"
 #include "rfid/population.hpp"
@@ -40,7 +39,6 @@ class ReaderContext {
         rng_(util::derive_seed(seed, 0x5EEDED5EEDED5EEDULL)) {}
 
   [[nodiscard]] const TagPopulation& tags() const noexcept { return *tags_; }
-  [[nodiscard]] std::size_t true_cardinality() const noexcept { return tags_->size(); }
   [[nodiscard]] const Channel& channel() const noexcept { return engine_.channel(); }
   [[nodiscard]] const TimingModel& timing() const noexcept { return timing_; }
   [[nodiscard]] FrameMode mode() const noexcept { return engine_.mode(); }

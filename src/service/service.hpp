@@ -48,7 +48,6 @@
 
 #include "core/planner.hpp"
 #include "rfid/channel.hpp"
-#include "rfid/frame.hpp"
 #include "rfid/frame_engine.hpp"
 #include "rfid/timing.hpp"
 #include "service/job.hpp"

@@ -49,7 +49,7 @@
 
 #include "core/planner.hpp"
 #include "rfid/channel.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "rfid/timing.hpp"
 #include "service/job.hpp"
 #include "service/portable.hpp"

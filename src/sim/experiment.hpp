@@ -13,7 +13,6 @@
 #include "estimators/estimator.hpp"
 #include "math/stats.hpp"
 #include "rfid/channel.hpp"
-#include "rfid/frame.hpp"
 #include "rfid/frame_engine.hpp"
 #include "rfid/population.hpp"
 #include "rfid/timing.hpp"

@@ -25,7 +25,6 @@
 #include "core/bfce.hpp"
 #include "estimators/estimator.hpp"
 #include "rfid/channel.hpp"
-#include "rfid/frame.hpp"
 #include "rfid/frame_engine.hpp"
 #include "rfid/timing.hpp"
 #include "sim/churn.hpp"

@@ -4,11 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/bfce.hpp"
 #include "estimators/registry.hpp"
 #include "estimators/zoe.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "rfid/reader.hpp"
 
 namespace bfce::rfid {
@@ -29,24 +30,21 @@ TEST(EnergyModel, PricesTheLedgerComponents) {
 TEST(TxAccounting, BloomFrameCountsEveryResponse) {
   const auto pop = make_population(5000, TagIdDistribution::kT1Uniform, 1);
   util::Xoshiro256ss rng(2);
-  Channel ch;
+  FrameEngine engine(pop, Channel{}, FrameMode::kExact);
   BloomFrameConfig cfg;
   cfg.set_p_numerator(1024);  // p = 1: every tag fires k times
   cfg.seeds = {1, 2, 3};
-  std::uint64_t tx = 0;
-  run_bloom_frame(pop, cfg, ch, rng, &tx);
-  EXPECT_EQ(tx, 5000u * 3u);
+  EXPECT_EQ(engine.execute(FrameRequest::bloom(cfg), rng).tx, 5000u * 3u);
 }
 
 TEST(TxAccounting, PersistenceScalesTransmissions) {
   const auto pop = make_population(20000, TagIdDistribution::kT1Uniform, 3);
   util::Xoshiro256ss rng(4);
-  Channel ch;
+  FrameEngine engine(pop, Channel{}, FrameMode::kExact);
   BloomFrameConfig cfg;
   cfg.set_p_numerator(256);  // p = 0.25
   cfg.seeds = {1, 2, 3};
-  std::uint64_t tx = 0;
-  run_bloom_frame(pop, cfg, ch, rng, &tx);
+  const std::uint64_t tx = engine.execute(FrameRequest::bloom(cfg), rng).tx;
   const double expected = 20000.0 * 3.0 * 0.25;
   EXPECT_NEAR(static_cast<double>(tx), expected, expected * 0.05);
 }
@@ -55,14 +53,16 @@ TEST(TxAccounting, SampledAndExactAgreeInExpectation) {
   const auto pop = make_population(10000, TagIdDistribution::kT1Uniform, 5);
   util::Xoshiro256ss rng(6);
   Channel ch;
+  FrameEngine exact(pop, ch, FrameMode::kExact);
+  FrameEngine sampled(pop, ch, FrameMode::kSampled);
   BloomFrameConfig cfg;
   cfg.set_p_numerator(128);
   cfg.seeds = {7, 8, 9};
   std::uint64_t tx_exact = 0;
   std::uint64_t tx_sampled = 0;
   for (int i = 0; i < 20; ++i) {
-    run_bloom_frame(pop, cfg, ch, rng, &tx_exact);
-    sampled_bloom_frame(pop.size(), cfg, ch, rng, &tx_sampled);
+    tx_exact += exact.execute(FrameRequest::bloom(cfg), rng).tx;
+    tx_sampled += sampled.execute(FrameRequest::bloom(cfg), rng).tx;
   }
   EXPECT_NEAR(static_cast<double>(tx_exact),
               static_cast<double>(tx_sampled),
@@ -72,21 +72,35 @@ TEST(TxAccounting, SampledAndExactAgreeInExpectation) {
 TEST(TxAccounting, LotteryFrameChargesEveryTag) {
   const auto pop = make_population(3000, TagIdDistribution::kT1Uniform, 7);
   util::Xoshiro256ss rng(8);
-  Channel ch;
-  std::uint64_t tx = 0;
-  run_lottery_frame(pop, 32, 99, ch, rng, &tx);
-  EXPECT_EQ(tx, 3000u);
-  sampled_lottery_frame(3000, 32, ch, rng, &tx);
-  EXPECT_EQ(tx, 6000u);
+  FrameEngine exact(pop, Channel{}, FrameMode::kExact);
+  FrameEngine sampled(3000, Channel{});
+  EXPECT_EQ(exact.execute(FrameRequest::lottery(32, 99), rng).tx, 3000u);
+  EXPECT_EQ(sampled.execute(FrameRequest::lottery(32, 0), rng).tx, 3000u);
 }
 
+// Every frame an estimator charges to its ledger runs on the context's
+// engine, so the two transmission tallies agree in both modes.
 TEST(TxAccounting, EstimatorsFillTheLedger) {
-  const auto pop = make_population(30000, TagIdDistribution::kT1Uniform, 9);
-  for (const char* name : {"BFCE", "ZOE", "SRC", "LOF", "A3"}) {
-    const auto est = estimators::make_estimator(name);
-    rfid::ReaderContext ctx(pop, 10, rfid::FrameMode::kSampled);
-    const auto out = est->estimate(ctx, {0.1, 0.1});
-    EXPECT_GT(out.airtime.tag_tx_bits, 0u) << name;
+  struct Case {
+    FrameMode mode;
+    std::size_t n;
+  };
+  for (const Case c : {Case{FrameMode::kSampled, 30000},
+                       Case{FrameMode::kExact, 2000}}) {
+    const auto pop = make_population(c.n, TagIdDistribution::kT1Uniform, 9);
+    for (const std::string& name : estimators::estimator_names()) {
+      // FNEB's first-busy frame is not an engine shape; it charges one
+      // transmission per round.
+      if (name == "FNEB") continue;
+      const auto est = estimators::make_estimator(name);
+      ReaderContext ctx(pop, 10, c.mode);
+      const auto out = est->estimate(ctx, {0.1, 0.1});
+      const ShapeCounters total = ctx.engine().counters().total();
+      EXPECT_GT(out.airtime.tag_tx_bits, 0u) << name << " n=" << c.n;
+      EXPECT_EQ(out.airtime.tag_tx_bits, total.tag_tx)
+          << name << " n=" << c.n;
+      EXPECT_GT(total.frames, 0u) << name << " n=" << c.n;
+    }
   }
 }
 

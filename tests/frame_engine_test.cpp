@@ -1,8 +1,8 @@
 // FrameEngine equivalence tests.
 //
-// The refactor that moved the frame executors behind the engine promises:
-//   * execute() is bit-identical to the pre-refactor free executors for
-//     every (shape, mode) pair — including identical RNG consumption, so
+// The engine promises:
+//   * execute() is bit-identical to the pre-engine executors for every
+//     (shape, mode) pair — including identical RNG consumption, so
 //     downstream draws stay aligned;
 //   * a sequential execute_batch() is execute() over the requests in
 //     order, bit-identical for every shape, mode and persistence mode;
@@ -11,9 +11,8 @@
 //     law-equivalent (two-sample KS) where they do;
 //   * the per-shape counters add up.
 //
-// The pre-refactor executors are embedded verbatim below as `ref_*` so
-// the contract stays checkable even as frame.cpp itself becomes a thin
-// wrapper over the engine.
+// The pre-engine executors are embedded verbatim below as `ref_*` so
+// the contract stays checkable against the code the engine replaced.
 
 #include "rfid/frame_engine.hpp"
 
@@ -30,7 +29,6 @@
 #include "hash/persistence.hpp"
 #include "hash/slot_hash.hpp"
 #include "math/hypothesis.hpp"
-#include "rfid/frame.hpp"
 #include "rfid/population.hpp"
 
 namespace bfce::rfid {
@@ -326,41 +324,6 @@ TEST(FrameEngineSampled, AllShapesBitIdentical) {
       engine.execute(FrameRequest::lottery(32, 0), eng_rng).busy.words());
 
   expect_same_rng(ref_rng, eng_rng);
-}
-
-// The free functions stayed behaviourally identical through their
-// demotion to engine wrappers.
-TEST(FrameEngineWrappers, FreeFunctionsBitIdenticalToReference) {
-  const TagPopulation pop = test_pop(2000);
-  const Channel ch;
-  const auto cfg = bloom_cfg(hash::PersistenceMode::kIdealBernoulli);
-
-  util::Xoshiro256ss ref_rng(21);
-  util::Xoshiro256ss wrap_rng(21);
-  std::uint64_t ref_tx = 0;
-  std::uint64_t wrap_tx = 0;
-  const util::BitVector ref =
-      ref_run_bloom_frame(pop, cfg, ch, ref_rng, &ref_tx);
-  const util::BitVector wrap =
-      run_bloom_frame(pop, cfg, ch, wrap_rng, &wrap_tx);
-  EXPECT_EQ(ref.words(), wrap.words());
-  EXPECT_EQ(ref_tx, wrap_tx);
-
-  EXPECT_EQ(ref_run_aloha_frame(pop, 64, 0.3, 5, ch, ref_rng),
-            run_aloha_frame(pop, 64, 0.3, 5, ch, wrap_rng));
-  EXPECT_EQ(ref_run_single_slot(pop, 0.01, 6, ch, ref_rng),
-            run_single_slot(pop, 0.01, 6, ch, wrap_rng));
-  EXPECT_EQ(ref_run_lottery_frame(pop, 32, 7, ch, ref_rng).words(),
-            run_lottery_frame(pop, 32, 7, ch, wrap_rng).words());
-  EXPECT_EQ(ref_sampled_bloom_frame(5000, cfg, ch, ref_rng).words(),
-            sampled_bloom_frame(5000, cfg, ch, wrap_rng).words());
-  EXPECT_EQ(ref_sampled_aloha_frame(5000, 64, 0.1, ch, ref_rng),
-            sampled_aloha_frame(5000, 64, 0.1, ch, wrap_rng));
-  EXPECT_EQ(ref_sampled_single_slot(5000, 3e-4, ch, ref_rng),
-            sampled_single_slot(5000, 3e-4, ch, wrap_rng));
-  EXPECT_EQ(ref_sampled_lottery_frame(5000, 32, ch, ref_rng).words(),
-            sampled_lottery_frame(5000, 32, ch, wrap_rng).words());
-  expect_same_rng(ref_rng, wrap_rng);
 }
 
 // ---- execute_batch ----------------------------------------------------

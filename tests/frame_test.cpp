@@ -1,6 +1,6 @@
 // Tests for the frame executors: Theorem 1 marginals, exact/sampled
 // equivalence, and the shapes used by the baseline protocols.
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -35,7 +35,9 @@ TEST(BloomFrame, FullPersistenceEveryTagLandsSomewhere) {
   Channel ch;
   auto cfg = base_config(1024, rng);  // p = 1
   cfg.k = 1;
-  const util::BitVector busy = run_bloom_frame(pop, cfg, ch, rng);
+  FrameEngine engine(pop, ch, FrameMode::kExact);
+  const util::BitVector busy =
+      engine.execute(FrameRequest::bloom(cfg), rng).busy;
   // With p=1 and k=1 each tag occupies exactly one slot; 100 tags in
   // 8192 slots leave at most 100 busy slots, and at least 94-ish
   // (birthday collisions) — assert loose bounds plus non-emptiness.
@@ -49,7 +51,9 @@ TEST(BloomFrame, ZeroPersistenceKeepsChannelSilent) {
   util::Xoshiro256ss rng(2);
   Channel ch;
   auto cfg = base_config(0, rng);  // p = 0
-  const util::BitVector busy = run_bloom_frame(pop, cfg, ch, rng);
+  FrameEngine engine(pop, ch, FrameMode::kExact);
+  const util::BitVector busy =
+      engine.execute(FrameRequest::bloom(cfg), rng).busy;
   EXPECT_EQ(busy.count_ones(), 0u);
 }
 
@@ -67,14 +71,14 @@ TEST_P(Theorem1Test, IdleRatioMatchesExpLambda) {
   const auto param = GetParam();
   const TagPopulation pop = small_pop(20000, 3);
   util::Xoshiro256ss rng(4);
-  Channel ch;
+  FrameEngine engine(pop, Channel{}, FrameMode::kExact);
   double total_rho = 0.0;
   constexpr int kFrames = 12;
   for (int f = 0; f < kFrames; ++f) {
     auto cfg = base_config(128, rng);  // p = 0.125
     cfg.hash = param.hash;
     cfg.persistence = param.persistence;
-    total_rho += idle_ratio(run_bloom_frame(pop, cfg, ch, rng));
+    total_rho += idle_ratio(engine.execute(FrameRequest::bloom(cfg), rng).busy);
   }
   const double rho = total_rho / kFrames;
   const double lambda = 3.0 * 0.125 * 20000.0 / 8192.0;  // = 0.9155
@@ -109,14 +113,15 @@ TEST(BloomFrame, SampledMatchesExactDistribution) {
   const TagPopulation pop = small_pop(30000, 5);
   util::Xoshiro256ss rng(6);
   Channel ch;
+  FrameEngine exact(pop, ch, FrameMode::kExact);
+  FrameEngine sampled(pop, ch, FrameMode::kSampled);
   std::vector<double> exact_rhos;
   std::vector<double> sampled_rhos;
   constexpr int kFrames = 60;
   for (int f = 0; f < kFrames; ++f) {
-    auto cfg = base_config(64, rng);
-    exact_rhos.push_back(idle_ratio(run_bloom_frame(pop, cfg, ch, rng)));
-    sampled_rhos.push_back(
-        idle_ratio(sampled_bloom_frame(pop.size(), cfg, ch, rng)));
+    const FrameRequest request = FrameRequest::bloom(base_config(64, rng));
+    exact_rhos.push_back(idle_ratio(exact.execute(request, rng).busy));
+    sampled_rhos.push_back(idle_ratio(sampled.execute(request, rng).busy));
   }
   const double d = math::ks_statistic(exact_rhos, sampled_rhos);
   EXPECT_GT(math::ks_pvalue(d, kFrames, kFrames), 0.005);
@@ -125,8 +130,9 @@ TEST(BloomFrame, SampledMatchesExactDistribution) {
 TEST(AlohaFrame, SlotTypesAreConsistent) {
   const TagPopulation pop = small_pop(500, 7);
   util::Xoshiro256ss rng(8);
-  Channel ch;
-  const auto states = run_aloha_frame(pop, 256, 1.0, 42, ch, rng);
+  FrameEngine engine(pop, Channel{}, FrameMode::kExact);
+  const auto states =
+      engine.execute(FrameRequest::aloha(256, 1.0, 42), rng).states;
   ASSERT_EQ(states.size(), 256u);
   std::size_t singles = 0;
   std::size_t collisions = 0;
@@ -145,13 +151,13 @@ TEST(AlohaFrame, SlotTypesAreConsistent) {
 TEST(AlohaFrame, EmptyRatioMatchesLaw) {
   const TagPopulation pop = small_pop(2000, 9);
   util::Xoshiro256ss rng(10);
-  Channel ch;
+  FrameEngine engine(pop, Channel{}, FrameMode::kExact);
   double idle_total = 0.0;
   constexpr int kFrames = 30;
   constexpr std::uint32_t kF = 1024;
   for (int f = 0; f < kFrames; ++f) {
     const auto states =
-        run_aloha_frame(pop, kF, 0.5, rng(), ch, rng);
+        engine.execute(FrameRequest::aloha(kF, 0.5, rng()), rng).states;
     std::size_t idle = 0;
     for (const SlotState s : states) {
       if (!is_busy(s)) ++idle;
@@ -166,12 +172,16 @@ TEST(AlohaFrame, SampledMatchesExactMoments) {
   const TagPopulation pop = small_pop(5000, 11);
   util::Xoshiro256ss rng(12);
   Channel ch;
+  FrameEngine exact(pop, ch, FrameMode::kExact);
+  FrameEngine sampled(pop, ch, FrameMode::kSampled);
   std::vector<double> exact_idle;
   std::vector<double> sampled_idle;
   constexpr int kFrames = 50;
   for (int f = 0; f < kFrames; ++f) {
-    const auto a = run_aloha_frame(pop, 512, 0.15, rng(), ch, rng);
-    const auto b = sampled_aloha_frame(pop.size(), 512, 0.15, ch, rng);
+    const auto a =
+        exact.execute(FrameRequest::aloha(512, 0.15, rng()), rng).states;
+    const auto b =
+        sampled.execute(FrameRequest::aloha(512, 0.15, 0), rng).states;
     auto count_idle = [](const std::vector<SlotState>& ss) {
       double idle = 0;
       for (const SlotState s : ss) {
@@ -190,13 +200,16 @@ TEST(SingleSlot, BusyProbabilityMatchesLaw) {
   const TagPopulation pop = small_pop(1000, 13);
   util::Xoshiro256ss rng(14);
   Channel ch;
+  FrameEngine exact(pop, ch, FrameMode::kExact);
+  FrameEngine sampled(pop, ch, FrameMode::kSampled);
   const double q = 1.594 / 1000.0;
   int busy_exact = 0;
   int busy_sampled = 0;
   constexpr int kFrames = 4000;
   for (int f = 0; f < kFrames; ++f) {
-    if (is_busy(run_single_slot(pop, q, rng(), ch, rng))) ++busy_exact;
-    if (is_busy(sampled_single_slot(pop.size(), q, ch, rng)))
+    if (is_busy(exact.execute(FrameRequest::single_slot(q, rng()), rng).single))
+      ++busy_exact;
+    if (is_busy(sampled.execute(FrameRequest::single_slot(q, 0), rng).single))
       ++busy_sampled;
   }
   const double expected = 1.0 - std::exp(-1.594);
@@ -207,11 +220,15 @@ TEST(SingleSlot, BusyProbabilityMatchesLaw) {
 TEST(SingleSlot, DegenerateProbabilities) {
   const TagPopulation pop = small_pop(100, 15);
   util::Xoshiro256ss rng(16);
-  Channel ch;
-  EXPECT_FALSE(is_busy(run_single_slot(pop, 0.0, 1, ch, rng)));
-  EXPECT_TRUE(is_busy(run_single_slot(pop, 1.0, 1, ch, rng)));
-  EXPECT_FALSE(is_busy(sampled_single_slot(100, 0.0, ch, rng)));
-  EXPECT_TRUE(is_busy(sampled_single_slot(100, 1.0, ch, rng)));
+  FrameEngine exact(pop, Channel{}, FrameMode::kExact);
+  FrameEngine sampled(100, Channel{});
+  auto busy = [&](FrameEngine& engine, double q) {
+    return is_busy(engine.execute(FrameRequest::single_slot(q, 1), rng).single);
+  };
+  EXPECT_FALSE(busy(exact, 0.0));
+  EXPECT_TRUE(busy(exact, 1.0));
+  EXPECT_FALSE(busy(sampled, 0.0));
+  EXPECT_TRUE(busy(sampled, 1.0));
 }
 
 TEST(LotteryFrame, FirstZeroGrowsWithLogN) {
@@ -219,11 +236,13 @@ TEST(LotteryFrame, FirstZeroGrowsWithLogN) {
   Channel ch;
   auto mean_first_zero = [&](std::size_t n) {
     const TagPopulation pop = small_pop(n, n);
+    FrameEngine engine(pop, ch, FrameMode::kExact);
     double sum = 0.0;
     constexpr int kRounds = 30;
     for (int r = 0; r < kRounds; ++r) {
       sum += static_cast<double>(
-          run_lottery_frame(pop, 32, rng(), ch, rng).first_zero());
+          engine.execute(FrameRequest::lottery(32, rng()), rng)
+              .busy.first_zero());
     }
     return sum / kRounds;
   };
@@ -237,14 +256,18 @@ TEST(LotteryFrame, SampledMatchesExactDistribution) {
   util::Xoshiro256ss rng(18);
   Channel ch;
   const TagPopulation pop = small_pop(10000, 19);
+  FrameEngine exact(pop, ch, FrameMode::kExact);
+  FrameEngine sampled(pop, ch, FrameMode::kSampled);
   std::vector<double> exact_fz;
   std::vector<double> sampled_fz;
   constexpr int kRounds = 200;
   for (int r = 0; r < kRounds; ++r) {
     exact_fz.push_back(static_cast<double>(
-        run_lottery_frame(pop, 32, rng(), ch, rng).first_zero()));
+        exact.execute(FrameRequest::lottery(32, rng()), rng)
+            .busy.first_zero()));
     sampled_fz.push_back(static_cast<double>(
-        sampled_lottery_frame(pop.size(), 32, ch, rng).first_zero()));
+        sampled.execute(FrameRequest::lottery(32, 0), rng)
+            .busy.first_zero()));
   }
   const double d = math::ks_statistic(exact_fz, sampled_fz);
   EXPECT_GT(math::ks_pvalue(d, kRounds, kRounds), 0.005);
@@ -255,7 +278,9 @@ TEST(Frames, ChannelErrorsPerturbObservations) {
   util::Xoshiro256ss rng(21);
   const Channel noisy(ChannelModel{0.2, 0.0});
   auto cfg = base_config(0, rng);  // nobody transmits...
-  const util::BitVector busy = run_bloom_frame(pop, cfg, noisy, rng);
+  FrameEngine engine(pop, noisy, FrameMode::kExact);
+  const util::BitVector busy =
+      engine.execute(FrameRequest::bloom(cfg), rng).busy;
   // ...yet ~20% of slots read busy through the noisy channel.
   EXPECT_NEAR(static_cast<double>(busy.count_ones()) / 8192.0, 0.2, 0.02);
 }

@@ -25,18 +25,16 @@ TEST(PredictedRelativeSd, ClosedFormAgainstHandComputation) {
 TEST(PredictedRelativeSd, MatchesMonteCarloMeasurement) {
   // The delta-method prediction must match the measured sd of n̂ over
   // repeated frames to within Monte-Carlo noise.
-  const auto pop = rfid::make_population(
-      200000, rfid::TagIdDistribution::kT1Uniform, 1);
   const double p = 8.0 / 1024.0;
   util::Xoshiro256ss rng(2);
-  const rfid::Channel ch;
+  rfid::FrameEngine engine(200000, rfid::Channel{});
   math::RunningStats estimates;
   constexpr int kFrames = 400;
   for (int f = 0; f < kFrames; ++f) {
     rfid::BloomFrameConfig cfg;
     cfg.set_p_numerator(8);
     cfg.seeds = {rng(), rng(), rng()};
-    const auto busy = rfid::sampled_bloom_frame(pop.size(), cfg, ch, rng);
+    const auto busy = engine.execute(rfid::FrameRequest::bloom(cfg), rng).busy;
     const double rho = 1.0 - static_cast<double>(busy.count_ones()) / 8192.0;
     estimates.add(estimate_from_rho(rho, 8192, 3, p));
   }

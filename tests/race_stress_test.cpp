@@ -31,7 +31,7 @@
 
 #include "core/planner.hpp"
 #include "hash/persistence.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "rfid/population.hpp"
 #include "rfid/reader.hpp"
 #include "service/service.hpp"

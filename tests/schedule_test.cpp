@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "math/hypothesis.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "rfid/multireader.hpp"
 #include "util/rng.hpp"
 
@@ -118,13 +118,13 @@ TEST(KsNormality, BloomIdleRatioIsAsymptoticallyNormal) {
   // The CLT claim underlying Theorem 3: ρ̄ over w = 8192 slots is
   // normal enough that a KS test cannot tell the difference.
   util::Xoshiro256ss rng(3);
-  const rfid::Channel ch;
+  rfid::FrameEngine engine(100000, rfid::Channel{});
   std::vector<double> rhos;
   for (int f = 0; f < 300; ++f) {
     rfid::BloomFrameConfig cfg;
     cfg.set_p_numerator(16);
     cfg.seeds = {rng(), rng(), rng()};
-    const auto busy = rfid::sampled_bloom_frame(100000, cfg, ch, rng);
+    const auto busy = engine.execute(rfid::FrameRequest::bloom(cfg), rng).busy;
     rhos.push_back(1.0 -
                    static_cast<double>(busy.count_ones()) / 8192.0);
   }

@@ -28,13 +28,14 @@ TEST(UpeDeep, CollisionLawHoldsEmpirically) {
   const auto pop = rfid::make_population(
       4000, rfid::TagIdDistribution::kT1Uniform, 1);
   util::Xoshiro256ss rng(2);
-  const rfid::Channel ch;
+  rfid::FrameEngine engine(pop, rfid::Channel{}, rfid::FrameMode::kExact);
   constexpr std::uint32_t kF = 2048;
   constexpr double kP = 0.75;
   double collisions = 0.0;
   constexpr int kFrames = 40;
   for (int i = 0; i < kFrames; ++i) {
-    const auto states = rfid::run_aloha_frame(pop, kF, kP, rng(), ch, rng);
+    const auto states =
+        engine.execute(rfid::FrameRequest::aloha(kF, kP, rng()), rng).states;
     for (const rfid::SlotState s : states) {
       if (s == rfid::SlotState::kCollision) ++collisions;
     }
