@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "core/analysis.hpp"
 #include "math/erf.hpp"
@@ -52,13 +51,12 @@ EstimateOutcome A3Estimator::estimate(rfid::ReaderContext& ctx,
     const rfid::FrameResult frame =
         ctx.run_frame(rfid::FrameRequest::aloha(params_.frame_size, p, seed));
     out.airtime.tag_tx_bits += frame.tx;
-    const std::vector<rfid::SlotState>& states = frame.states;
     out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
     out.airtime.add_tag_slots(params_.frame_size);
     ++out.rounds;
 
     std::size_t idle = 0;
-    for (const rfid::SlotState s : states) {
+    for (const rfid::SlotState s : frame.states) {
       if (!rfid::is_busy(s)) ++idle;
     }
     const double rho = std::clamp(

@@ -49,12 +49,11 @@ EstimateOutcome ArtEstimator::estimate(rfid::ReaderContext& ctx,
     const rfid::FrameResult frame =
         ctx.run_frame(rfid::FrameRequest::aloha(params_.frame_size, p, seed));
     out.airtime.tag_tx_bits += frame.tx;
-    const std::vector<rfid::SlotState>& states = frame.states;
     out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
     out.airtime.add_tag_slots(params_.frame_size);
     ++out.rounds;
 
-    const double run = average_busy_run(states);
+    const double run = average_busy_run(frame.states);
     if (run > 1e-12) {
       // b̂ from the run statistic; clamp into (0,1) before the logs.
       const double b = std::clamp(1.0 - 1.0 / run, 1.0 / (2.0 * f_d),

@@ -159,7 +159,9 @@ struct FrameRequest {
 /// What one frame produced. Only the member matching the request's shape
 /// is populated (`busy` for Bloom/lottery, `states` for ALOHA, `single`
 /// for single-slot); `tx` always holds the number of individual tag
-/// transmissions — the input to the tag-side energy model.
+/// transmissions — the input to the tag-side energy model. `busy` has
+/// bit i set ⇔ the reader sensed energy in slot i; the paper's B is its
+/// complement (B(i) = 1 for idle), which the estimators convert.
 struct FrameResult {
   FrameShape shape = FrameShape::kBloom;
   util::BitVector busy;
