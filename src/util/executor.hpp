@@ -1,5 +1,5 @@
 #pragma once
-// Persistent work-stealing executor — the engine behind util::parallel_for.
+// Persistent executor — the engine behind util::parallel_for.
 //
 // The old parallel_for spawned and joined fresh std::threads on every call,
 // so every sharded frame walk and every federation merge paid thread-creation
@@ -9,26 +9,25 @@
 //  * Lazily initialized: no threads exist until the first run() that wants
 //    helpers; the pool then grows on demand (oversubscription beyond the
 //    hardware thread count is allowed and tested — workers just time-slice).
-//  * Work is dealt as per-participant contiguous index ranges ("lanes"),
-//    each packed into one atomic word. The owning participant pops single
-//    indices from the low end; a participant whose lane runs dry steals the
-//    top half of the fullest lane (Chase–Lev-style two-ended discipline,
-//    expressed as CAS transitions on the packed range so there is no ABA).
-//    Contiguous initial lanes mean participant s renders a contiguous tag
-//    range — which is what makes first-touch shard-bitmap placement in the
-//    FrameEngine land pages on the node that owns that tag range.
+//  * Work is dealt one index at a time from a single atomic cursor per job:
+//    each participant takes cursor.fetch_add(1) until the result passes the
+//    count. Uneven indices (Monte-Carlo trials of different lengths) balance
+//    as they finish; the engine's sharded walks hand each participant one
+//    shard index, which is all a cursor needs to do.
 //  * Nesting-safe: a pool worker (or any thread) calling run() from inside a
-//    dispatched fn participates in the nested job itself and *donates* it to
-//    the active list so idle workers can help. A participant's work loop
-//    only exits once every lane of its job is empty, so completion never
-//    requires another thread; waits can only point at strictly-younger jobs,
-//    so there is no cycle and no deadlock.
+//    dispatched fn participates in the nested job itself and lists it so
+//    idle workers can help. A participant's loop only exits once the cursor
+//    has handed out every index, so completion never requires another
+//    thread; waits can only point at strictly-younger jobs, so there is no
+//    cycle and no deadlock.
 //  * Exceptions propagate: the first exception thrown by fn cancels the
-//    remaining untaken indices and is rethrown on the run() caller.
+//    job by moving the cursor to the count, so no untaken index runs, and
+//    is rethrown on the run() caller.
 //
 // Determinism is unaffected by any of this: parallel_for's contract is that
-// fn(i) is a pure function of i (counter-addressed RNG upstream), so lane
-// shapes, steal order, and pool size change wall-clock only, never bits.
+// fn(i) is a pure function of i (counter-addressed RNG upstream), so which
+// participant takes which index, and the pool size, change wall-clock only,
+// never bits.
 
 #include <atomic>
 #include <condition_variable>
@@ -48,7 +47,7 @@ class Executor {
   struct Stats {
     std::uint64_t dispatches = 0;   ///< run() calls that engaged the pool
     std::uint64_t inline_runs = 0;  ///< run() calls executed entirely inline
-    std::uint64_t steals = 0;       ///< lane steal-half / adopt operations
+    std::uint64_t steals = 0;       ///< always 0; bench_e2e reads it
     std::uint64_t wakeups = 0;      ///< notify broadcasts to parked workers
     std::uint64_t spawned = 0;      ///< worker threads created over the lifetime
   };
@@ -73,10 +72,9 @@ class Executor {
   Stats stats() const;
 
   /// Joins every worker. Safe to call while a run() is in flight on another
-  /// thread: workers finish their current index and exit; the run() caller
-  /// drains the rest itself and completes normally. The pool respawns
-  /// lazily on the next run() that wants helpers. Used by tests and the
-  /// pool-cold bench stages.
+  /// thread: workers leave once that job has no untaken index and exit; the
+  /// run() caller completes normally. The pool respawns lazily on the next
+  /// run() that wants helpers. Used by tests and the pool-cold bench stages.
   void shutdown();
 
   ~Executor();
@@ -87,12 +85,9 @@ class Executor {
   struct Job;
 
   Executor() = default;
-  void run_bounded(std::size_t begin, std::size_t count,
-                   const std::function<void(std::size_t)>& fn,
-                   unsigned threads);
   void ensure_workers(unsigned wanted);
   void worker_loop();
-  static void participate(Job& job, unsigned slot, std::uint64_t* steals);
+  static void participate(Job& job);
 
   mutable std::mutex mu_;           // guards pool membership + active list
   std::condition_variable cv_;      // parked workers wait here
@@ -101,7 +96,6 @@ class Executor {
   bool stopping_ = false;
   std::atomic<std::uint64_t> dispatches_{0};
   std::atomic<std::uint64_t> inline_runs_{0};
-  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint64_t> spawned_{0};
 };

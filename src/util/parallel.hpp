@@ -6,11 +6,11 @@
 // function of (master seed, trial index), so the *numbers* are identical for
 // any thread count — threads only change wall-clock time.
 //
-// Since the Executor refactor, parallel_for dispatches onto a process-wide
-// persistent worker pool (util::Executor) instead of spawning threads per
-// call: workers park between calls, work is dealt as stealable contiguous
-// index ranges, and calling parallel_for from inside a dispatched fn is safe
-// (the nested call inlines or donates work to the pool — it never deadlocks).
+// parallel_for dispatches onto a process-wide persistent worker pool
+// (util::Executor): workers park between calls, participants take one index
+// at a time from a shared cursor, and calling parallel_for from inside a
+// dispatched fn is safe (the nested call inlines or lists its job for idle
+// workers — it never deadlocks).
 
 #include <cstddef>
 #include <functional>
@@ -30,7 +30,7 @@ unsigned default_thread_count();
 /// participants (the calling thread is one of them; `threads == 0` means
 /// default_thread_count()).
 ///
-/// Indices are dealt in contiguous chunks; `fn` must be safe to call
+/// Indices are handed out one at a time; `fn` must be safe to call
 /// concurrently for distinct indices and must not depend on execution
 /// order. Nested calls from inside `fn` are safe. If `fn` throws, the first
 /// exception cancels the remaining indices and is rethrown to the caller

@@ -1,10 +1,10 @@
-// The persistent work-stealing executor behind util::parallel_for.
+// The persistent executor behind util::parallel_for.
 //
-// These are the contract tests the ISSUE calls out by name: nesting from a
-// pool worker, exception propagation out of fn, shutdown while a run is in
-// flight, and oversubscription beyond the hardware thread count. The suite
-// also re-runs whole under the tsan preset (STRESS registration), where the
-// lane CAS protocol and the completion handshake get hammered for real.
+// These are its contract tests: nesting from a pool worker, exception
+// propagation out of fn, shutdown while a run is in flight, and
+// oversubscription beyond the hardware thread count. The suite also re-runs
+// whole under the tsan preset (STRESS registration), where the index cursor,
+// its cancel and the completion handshake get hammered for real.
 
 #include "util/executor.hpp"
 
@@ -171,6 +171,36 @@ TEST(Executor, ExceptionPropagatesThroughNesting) {
   expect_all_once(hits);
 }
 
+TEST(Executor, ConcurrentExceptionsRethrowOnce) {
+  // Every other index throws, so up to eight participants race to cancel
+  // the job while the rest keep taking indices. The caller must see
+  // exactly one exception, no index may run twice, and the pool must serve
+  // the next call.
+  constexpr std::size_t kTotal = 4096;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> hits(kTotal);
+    int caught = 0;
+    try {
+      parallel_for(
+          0, kTotal,
+          [&](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+            if (i % 2 == 0) throw std::runtime_error("every other index");
+          },
+          8);
+    } catch (const std::runtime_error&) {
+      ++caught;
+    }
+    EXPECT_EQ(caught, 1);
+    for (std::size_t i = 0; i < kTotal; ++i) {
+      EXPECT_LE(hits[i].load(std::memory_order_relaxed), 1) << "index " << i;
+    }
+  }
+  std::vector<std::atomic<int>> hits(1000);
+  parallel_for(0, hits.size(), mark_once(hits), 8);
+  expect_all_once(hits);
+}
+
 TEST(Executor, ShutdownWhileBusyCompletesTheRun) {
   std::vector<std::atomic<int>> hits(600);
   std::thread runner([&] {
@@ -205,11 +235,9 @@ TEST(Executor, OversubscriptionBeyondHardwareThreads) {
   EXPECT_GE(Executor::instance().live_workers(), threads - 1);
 }
 
-TEST(Executor, UnevenWorkIsStolen) {
-  // Front-loaded cost: index 0 is ~1000x the rest, so lane 0's owner is
-  // busy while its range sits stealable. All indices must still complete
-  // promptly; the steals counter shows the mechanism engaged (not asserted
-  // hard — a 1-core box may legitimately finish lanes in order).
+TEST(Executor, UnevenWorkIsBalanced) {
+  // Front-loaded cost: index 0 is ~1000x the rest, so whoever takes it is
+  // busy while the other participants take the remaining indices.
   std::vector<std::atomic<int>> hits(4096);
   parallel_for(
       0, hits.size(),
