@@ -25,9 +25,10 @@ EstimateOutcome A3Estimator::estimate(rfid::ReaderContext& ctx,
       const rfid::FrameResult frame =
           ctx.run_frame(rfid::FrameRequest::single_slot(q, seed));
       out.airtime.tag_tx_bits += frame.tx;
-      if (rfid::is_busy(frame.single)) ++busy;
-      out.airtime.add_reader_broadcast(params_.seed_bits);
-      out.airtime.add_tag_slots(1);
+      const bool heard = rfid::is_busy(frame.single);
+      if (heard) ++busy;
+      ctx.log_frame(rfid::FrameKind::kSingleSlot, 1, q, heard ? 1 : 0,
+                    out.airtime.add_frame(params_.seed_bits, 1, ctx.timing()));
     }
     if (2 * busy < params_.pivot_slots_per_level) {
       quiet_level = j;
@@ -51,14 +52,16 @@ EstimateOutcome A3Estimator::estimate(rfid::ReaderContext& ctx,
     const rfid::FrameResult frame =
         ctx.run_frame(rfid::FrameRequest::aloha(params_.frame_size, p, seed));
     out.airtime.tag_tx_bits += frame.tx;
-    out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
-    out.airtime.add_tag_slots(params_.frame_size);
     ++out.rounds;
 
     std::size_t idle = 0;
     for (const rfid::SlotState s : frame.states) {
       if (!rfid::is_busy(s)) ++idle;
     }
+    ctx.log_frame(rfid::FrameKind::kAloha, params_.frame_size, p,
+                  static_cast<std::uint32_t>(params_.frame_size - idle),
+                  out.airtime.add_frame(params_.seed_bits + params_.size_bits,
+                                        params_.frame_size, ctx.timing()));
     const double rho = std::clamp(
         static_cast<double>(idle) / f_d, 1.0 / (2.0 * f_d),
         1.0 - 1.0 / (2.0 * f_d));

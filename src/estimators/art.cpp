@@ -49,8 +49,11 @@ EstimateOutcome ArtEstimator::estimate(rfid::ReaderContext& ctx,
     const rfid::FrameResult frame =
         ctx.run_frame(rfid::FrameRequest::aloha(params_.frame_size, p, seed));
     out.airtime.tag_tx_bits += frame.tx;
-    out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
-    out.airtime.add_tag_slots(params_.frame_size);
+    ctx.log_frame(rfid::FrameKind::kAloha, params_.frame_size, p,
+                  static_cast<std::uint32_t>(std::count_if(
+                      frame.states.begin(), frame.states.end(), rfid::is_busy)),
+                  out.airtime.add_frame(params_.seed_bits + params_.size_bits,
+                                        params_.frame_size, ctx.timing()));
     ++out.rounds;
 
     const double run = average_busy_run(frame.states);

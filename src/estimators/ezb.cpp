@@ -51,12 +51,16 @@ EstimateOutcome EzbEstimator::estimate(rfid::ReaderContext& ctx,
     const rfid::FrameResult frame =
         ctx.run_frame(rfid::FrameRequest::aloha(params_.frame_size, p, seed));
     out.airtime.tag_tx_bits += frame.tx;
-    out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
-    out.airtime.add_tag_slots(params_.frame_size);
     ++out.rounds;
+    std::uint32_t idle = 0;
     for (const rfid::SlotState s : frame.states) {
-      if (!rfid::is_busy(s)) ++idle_total;
+      if (!rfid::is_busy(s)) ++idle;
     }
+    idle_total += idle;
+    ctx.log_frame(rfid::FrameKind::kAloha, params_.frame_size, p,
+                  params_.frame_size - idle,
+                  out.airtime.add_frame(params_.seed_bits + params_.size_bits,
+                                        params_.frame_size, ctx.timing()));
   }
 
   const double total_slots = f_d * static_cast<double>(rounds);

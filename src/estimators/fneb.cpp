@@ -54,10 +54,13 @@ EstimateOutcome FnebEstimator::estimate(rfid::ReaderContext& ctx,
             ? exact_first_busy(ctx.tags(), params_.frame_size, seed)
             : sampled_first_busy(ctx.engine().population_size(),
                                  params_.frame_size, ctx.rng());
-    out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
     // Early termination: the reader listens to u idle slots plus the
     // busy one, then kills the frame.
-    out.airtime.add_tag_slots(std::min(u, params_.frame_size - 1) + 1ULL);
+    const std::uint32_t heard = std::min(u, params_.frame_size - 1) + 1;
+    ctx.log_frame(rfid::FrameKind::kAloha, heard, 1.0,
+                  u < params_.frame_size ? 1 : 0,
+                  out.airtime.add_frame(params_.seed_bits + params_.size_bits,
+                                        heard, ctx.timing()));
     // Only the first-slot winner ever transmits (later slots never come);
     // ties at the minimum are negligible for f >> n.
     out.airtime.tag_tx_bits += 1;

@@ -8,7 +8,8 @@
 // so repeating R rounds and averaging gives n̂ = f/Ū − 1. U is nearly
 // exponentially distributed (coefficient of variation ≈ 1), so R =
 // ⌈(d/ε)²⌉ rounds deliver an (ε, δ) mean — and each round costs only
-// ~f/n slots thanks to early termination.
+// ~f/n slots thanks to early termination. Each round logs one
+// rfid::FrameKind::kAloha record covering the u + 1 slots it heard.
 
 #include <cstdint>
 #include <string>

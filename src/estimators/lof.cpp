@@ -29,14 +29,10 @@ EstimateOutcome LofEstimator::estimate(rfid::ReaderContext& ctx,
   for (const rfid::FrameResult& frame : ctx.run_batch(requests)) {
     out.airtime.tag_tx_bits += frame.tx;
     const util::BitVector& busy = frame.busy;
-    out.airtime.add_reader_broadcast(params_.seed_bits);
-    out.airtime.add_tag_slots(params_.frame_size);
     ctx.log_frame(rfid::FrameKind::kLottery, params_.frame_size, 1.0,
                   static_cast<std::uint32_t>(busy.count_ones()),
-                  static_cast<double>(params_.seed_bits) *
-                          ctx.timing().reader_bit_us +
-                      params_.frame_size * ctx.timing().tag_bit_us +
-                      2.0 * ctx.timing().interval_us);
+                  out.airtime.add_frame(params_.seed_bits, params_.frame_size,
+                                        ctx.timing()));
     index_sum += static_cast<double>(busy.first_zero());
   }
   const double mean_index = index_sum / static_cast<double>(params_.rounds);

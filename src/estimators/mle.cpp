@@ -76,14 +76,16 @@ EstimateOutcome MleEstimator::estimate(rfid::ReaderContext& ctx,
     const rfid::FrameResult frame =
         ctx.run_frame(rfid::FrameRequest::aloha(params_.frame_size, p, seed));
     out.airtime.tag_tx_bits += frame.tx;
-    out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
-    out.airtime.add_tag_slots(params_.frame_size);
     ++out.rounds;
 
     std::uint32_t empties = 0;
     for (const rfid::SlotState s : frame.states) {
       if (!rfid::is_busy(s)) ++empties;
     }
+    ctx.log_frame(rfid::FrameKind::kAloha, params_.frame_size, p,
+                  params_.frame_size - empties,
+                  out.airtime.add_frame(params_.seed_bits + params_.size_bits,
+                                        params_.frame_size, ctx.timing()));
     evidence.push_back(FrameEvidence{p, empties});
     n_hat = maximize_likelihood(evidence, params_.frame_size,
                                 params_.n_search_max);

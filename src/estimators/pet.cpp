@@ -24,10 +24,12 @@ EstimateOutcome PetEstimator::estimate(rfid::ReaderContext& ctx,
       const rfid::FrameResult frame =
           ctx.run_frame(rfid::FrameRequest::single_slot(q, seed));
       out.airtime.tag_tx_bits += frame.tx;
-      out.airtime.add_reader_broadcast(params_.seed_bits +
-                                       params_.level_bits);
-      out.airtime.add_tag_slots(1);
-      return rfid::is_busy(frame.single);
+      const bool heard = rfid::is_busy(frame.single);
+      ctx.log_frame(
+          rfid::FrameKind::kSingleSlot, 1, q, heard ? 1 : 0,
+          out.airtime.add_frame(params_.seed_bits + params_.level_bits, 1,
+                                ctx.timing()));
+      return heard;
     };
 
     // Binary search for the highest busy level. Invariant: lo is busy

@@ -51,8 +51,6 @@ EstimateOutcome SrcEstimator::estimate(rfid::ReaderContext& ctx,
         ctx.run_frame(rfid::FrameRequest::aloha(f, p, seed));
     out.airtime.tag_tx_bits += frame.tx;
     const std::vector<rfid::SlotState>& states = frame.states;
-    out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
-    out.airtime.add_tag_slots(f);
     ++out.rounds;
 
     std::size_t idle = 0;
@@ -61,11 +59,8 @@ EstimateOutcome SrcEstimator::estimate(rfid::ReaderContext& ctx,
     }
     ctx.log_frame(rfid::FrameKind::kAloha, f, p,
                   static_cast<std::uint32_t>(f - idle),
-                  static_cast<double>(params_.seed_bits +
-                                      params_.size_bits) *
-                          ctx.timing().reader_bit_us +
-                      static_cast<double>(f) * ctx.timing().tag_bit_us +
-                      2.0 * ctx.timing().interval_us);
+                  out.airtime.add_frame(params_.seed_bits + params_.size_bits,
+                                        f, ctx.timing()));
     // Clamp degenerate frames (rough estimate far off) to the finest
     // resolvable ratio — these are the runs behind SRC's accuracy
     // exceptions in Fig 9.

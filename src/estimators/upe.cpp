@@ -56,16 +56,21 @@ EstimateOutcome UpeEstimator::estimate(rfid::ReaderContext& ctx,
       ctx.run_frame(rfid::FrameRequest::aloha(f, p, seed));
   out.airtime.tag_tx_bits += frame.tx;
   const std::vector<rfid::SlotState>& states = frame.states;
-  out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
-  // UPE slots carry enough bits to tell singletons from collisions.
-  out.airtime.add_tag_slots(static_cast<std::uint64_t>(f) *
-                            params_.slot_bits);
   out.rounds = 1;
 
+  std::size_t idle = 0;
   std::size_t collisions = 0;
   for (const rfid::SlotState s : states) {
+    if (!rfid::is_busy(s)) ++idle;
     if (s == rfid::SlotState::kCollision) ++collisions;
   }
+  // UPE slots carry enough bits to tell singletons from collisions.
+  ctx.log_frame(rfid::FrameKind::kAloha, f, p,
+                static_cast<std::uint32_t>(f - idle),
+                out.airtime.add_frame(
+                    params_.seed_bits + params_.size_bits,
+                    static_cast<std::uint64_t>(f) * params_.slot_bits,
+                    ctx.timing()));
   const double f_d = static_cast<double>(f);
   const double ratio =
       std::clamp(static_cast<double>(collisions) / f_d, 1.0 / (2.0 * f_d),

@@ -67,14 +67,10 @@ EstimateOutcome ZoeEstimator::estimate(rfid::ReaderContext& ctx,
         out.airtime.tag_tx_bits += frame.tx;
         const rfid::SlotState s = frame.single;
         if (!rfid::is_busy(s)) ++idle;
-        out.airtime.add_reader_broadcast(params_.seed_bits);
-        out.airtime.add_tag_slots(1);
         ctx.log_frame(rfid::FrameKind::kSingleSlot, 1, q,
                       rfid::is_busy(s) ? 1 : 0,
-                      static_cast<double>(params_.seed_bits) *
-                              ctx.timing().reader_bit_us +
-                          ctx.timing().tag_bit_us +
-                          2.0 * ctx.timing().interval_us);
+                      out.airtime.add_frame(params_.seed_bits, 1,
+                                            ctx.timing()));
         ++done;
         if (done == target && target < cap) {
           const double rho_so_far = std::clamp(

@@ -25,7 +25,7 @@ enum class FrameKind : std::uint8_t {
   kBloomRough,   ///< BFCE phase-1 (truncated) Bloom frame
   kBloomAccurate,///< BFCE phase-2 full Bloom frame
   kSingleSlot,   ///< ZOE/PET/A³ one-slot frame
-  kAloha,        ///< slotted ALOHA frame (SRC, EZB, UPE, ART, MLE, A³)
+  kAloha,        ///< slotted ALOHA frame (SRC, EZB, UPE, ART, MLE, A³, FNEB)
   kLottery,      ///< geometric lottery frame (LOF, rough phases)
   kOther,
 };

@@ -43,6 +43,18 @@ struct Airtime {
     intervals += 1;
   }
 
+  /// Charges one frame — a reader broadcast of `bits` bits, then `slots`
+  /// tag bit-slots, each followed by a gap — and returns what it adds to
+  /// total_us(model): the duration a FrameLog record carries.
+  double add_frame(std::uint64_t bits, std::uint64_t slots,
+                   const TimingModel& model) noexcept {
+    add_reader_broadcast(bits);
+    add_tag_slots(slots);
+    return static_cast<double>(bits) * model.reader_bit_us +
+           static_cast<double>(slots) * model.tag_bit_us +
+           2.0 * model.interval_us;
+  }
+
   Airtime& operator+=(const Airtime& other) noexcept {
     reader_bits += other.reader_bits;
     tag_bits += other.tag_bits;

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "core/bfce.hpp"
+#include "estimators/registry.hpp"
 #include "estimators/src_protocol.hpp"
 #include "estimators/zoe.hpp"
 #include "rfid/reader.hpp"
@@ -101,6 +104,33 @@ TEST(FrameLog, SrcLogsItsMajorityRounds) {
   src.estimate(ctx, {0.05, 0.05});
   EXPECT_EQ(log.count(FrameKind::kAloha), 7u);  // m(0.05) = 7
   EXPECT_EQ(log.count(FrameKind::kLottery), 2u);
+}
+
+TEST(FrameLog, EveryEstimatorLogsEachFrame) {
+  // One record per frame, each carrying its frame's ledger charge, so the
+  // log accounts for the whole run.
+  struct Case {
+    FrameMode mode;
+    std::size_t n;
+  };
+  for (const Case c : {Case{FrameMode::kSampled, 30000},
+                       Case{FrameMode::kExact, 2000}}) {
+    const auto pop = make_population(c.n, TagIdDistribution::kT1Uniform, 9);
+    for (const std::string& name : estimators::estimator_names()) {
+      const auto est = estimators::make_estimator(name);
+      ReaderContext ctx(pop, 10, c.mode);
+      FrameLog log;
+      ctx.attach_log(&log);
+      const auto out = est->estimate(ctx, {0.1, 0.1});
+      // FNEB's first-busy frame is not an engine shape: one per round.
+      const std::uint64_t frames = name == "FNEB"
+                                       ? out.rounds
+                                       : ctx.engine().counters().total().frames;
+      EXPECT_EQ(log.size(), frames) << name << " n=" << c.n;
+      EXPECT_NEAR(log.total_duration_us(), out.time_us, 1.0)
+          << name << " n=" << c.n;
+    }
+  }
 }
 
 TEST(FrameLog, NoLogAttachedMeansNoOverheadOrRecords) {
