@@ -37,10 +37,10 @@ std::vector<service::PortableJobSpec> build_jobs(std::size_t jobs,
       // Tracking jobs are slow to run but instant to submit, so the
       // snapshot below reliably catches some of them still pending.
       spec.population.kind = service::PortablePopulation::Kind::kNone;
-      service::PortableTrackingSpec tracking;
+      service::TrackingJobSpec tracking;
       tracking.reader_id = i;
       tracking.initial_population = 60000;
-      tracking.schedule.push_back({8, 0.05, 120.0});
+      tracking.schedule.push_back({8, {0.05, 120.0}});
       spec.tracking = tracking;
     } else {
       spec.population.kind = service::PortablePopulation::Kind::kSynthetic;

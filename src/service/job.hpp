@@ -47,6 +47,8 @@ struct TrackingJobSpec {
   std::uint64_t reader_id = 0;
   std::size_t initial_population = 10000;
   tracking::ChurnSchedule schedule;
+
+  bool operator==(const TrackingJobSpec&) const = default;
 };
 
 /// Fleet-federation request payload. When JobSpec::federation is set the

@@ -45,7 +45,7 @@ const char* validate_portable_job(const PortableJobSpec& spec) noexcept {
   }
 
   if (spec.tracking.has_value()) {
-    const PortableTrackingSpec& t = *spec.tracking;
+    const TrackingJobSpec& t = *spec.tracking;
     if (t.initial_population > kMaxPortableTags) {
       return "tracking initial population too large";
     }
@@ -53,15 +53,16 @@ const char* validate_portable_job(const PortableJobSpec& spec) noexcept {
     if (t.schedule.size() > kMaxSchedulePhases) {
       return "tracking schedule has too many phases";
     }
-    for (const PortableChurnPhase& phase : t.schedule) {
+    for (const tracking::ChurnPhase& phase : t.schedule) {
       if (phase.rounds == 0 || phase.rounds > kMaxPhaseRounds) {
         return "tracking phase rounds outside [1, 2^20]";
       }
-      if (!(phase.departure_prob >= 0.0) || !(phase.departure_prob <= 1.0)) {
+      const sim::ChurnModel& m = phase.model;
+      if (!(m.departure_prob >= 0.0) || !(m.departure_prob <= 1.0)) {
         return "departure probability outside [0, 1]";
       }
-      if (!(phase.arrival_mean >= 0.0) ||
-          phase.arrival_mean > static_cast<double>(kMaxPortableTags)) {
+      if (!(m.arrival_mean >= 0.0) ||
+          m.arrival_mean > static_cast<double>(kMaxPortableTags)) {
         return "arrival mean outside [0, 2^24]";
       }
     }
@@ -100,19 +101,7 @@ std::optional<MaterializedJob> materialize(const PortableJobSpec& spec) {
   job.spec.max_attempts = spec.max_attempts;
 
   if (spec.tracking.has_value()) {
-    TrackingJobSpec track;
-    track.reader_id = spec.tracking->reader_id;
-    track.initial_population =
-        static_cast<std::size_t>(spec.tracking->initial_population);
-    track.schedule.reserve(spec.tracking->schedule.size());
-    for (const PortableChurnPhase& phase : spec.tracking->schedule) {
-      tracking::ChurnPhase p;
-      p.rounds = static_cast<std::size_t>(phase.rounds);
-      p.model.departure_prob = phase.departure_prob;
-      p.model.arrival_mean = phase.arrival_mean;
-      track.schedule.push_back(p);
-    }
-    job.spec.tracking = std::move(track);
+    job.spec.tracking = spec.tracking;
     return job;
   }
 
@@ -173,14 +162,14 @@ void encode_portable_job(util::ByteWriter& w, const PortableJobSpec& spec) {
 
   w.u8(spec.tracking.has_value() ? 1 : 0);
   if (spec.tracking.has_value()) {
-    const PortableTrackingSpec& t = *spec.tracking;
+    const TrackingJobSpec& t = *spec.tracking;
     w.u64(t.reader_id);
     w.u64(t.initial_population);
     w.u64(t.schedule.size());
-    for (const PortableChurnPhase& phase : t.schedule) {
+    for (const tracking::ChurnPhase& phase : t.schedule) {
       w.u64(phase.rounds);
-      w.f64(phase.departure_prob);
-      w.f64(phase.arrival_mean);
+      w.f64(phase.model.departure_prob);
+      w.f64(phase.model.arrival_mean);
     }
   }
 }
@@ -228,7 +217,7 @@ PortableJobSpec decode_portable_job(util::ByteReader& r) {
     return spec;
   }
   if (has_tracking == 1) {
-    PortableTrackingSpec t;
+    TrackingJobSpec t;
     t.reader_id = r.u64();
     t.initial_population = r.u64();
     const std::uint64_t phases = r.u64();
@@ -238,10 +227,10 @@ PortableJobSpec decode_portable_job(util::ByteReader& r) {
     }
     t.schedule.reserve(static_cast<std::size_t>(phases));
     for (std::uint64_t i = 0; i < phases; ++i) {
-      PortableChurnPhase phase;
+      tracking::ChurnPhase phase;
       phase.rounds = r.u64();
-      phase.departure_prob = r.f64();
-      phase.arrival_mean = r.f64();
+      phase.model.departure_prob = r.f64();
+      phase.model.arrival_mean = r.f64();
       t.schedule.push_back(phase);
     }
     spec.tracking = std::move(t);

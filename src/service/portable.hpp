@@ -26,7 +26,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "estimators/estimator.hpp"
 #include "rfid/population.hpp"
@@ -60,25 +59,6 @@ struct PortablePopulation {
   }
 };
 
-/// One tracking-schedule phase in value form (mirrors
-/// tracking::ChurnPhase without pulling the session header in here).
-struct PortableChurnPhase {
-  std::uint64_t rounds = 0;
-  double departure_prob = 0.0;
-  double arrival_mean = 0.0;
-
-  bool operator==(const PortableChurnPhase&) const = default;
-};
-
-/// Value form of TrackingJobSpec.
-struct PortableTrackingSpec {
-  std::uint64_t reader_id = 0;
-  std::uint64_t initial_population = 10000;
-  std::vector<PortableChurnPhase> schedule;
-
-  bool operator==(const PortableTrackingSpec&) const = default;
-};
-
 /// A complete estimation request as value data. Mirrors JobSpec minus
 /// the pointer/closure fields (factories cannot cross a process
 /// boundary; federation jobs reference a caller-owned Fleet and are
@@ -91,7 +71,7 @@ struct PortableJobSpec {
   double deadline_s = std::numeric_limits<double>::infinity();
   std::uint32_t max_attempts = 1;
   PortablePopulation population;
-  std::optional<PortableTrackingSpec> tracking;
+  std::optional<TrackingJobSpec> tracking;
 
   bool operator==(const PortableJobSpec& o) const noexcept {
     return estimator == o.estimator && req.epsilon == o.req.epsilon &&

@@ -16,6 +16,8 @@ namespace bfce::sim {
 struct ChurnModel {
   double departure_prob = 0.0;
   double arrival_mean = 0.0;
+
+  bool operator==(const ChurnModel&) const = default;
 };
 
 /// What one period did to the population.

@@ -37,6 +37,8 @@ namespace bfce::tracking {
 struct ChurnPhase {
   std::size_t rounds = 0;
   sim::ChurnModel model{};
+
+  bool operator==(const ChurnPhase&) const = default;
 };
 using ChurnSchedule = std::vector<ChurnPhase>;
 

@@ -178,10 +178,10 @@ std::vector<PortableJobSpec> portable_workload() {
         break;
       default: {
         spec.estimator = "BFCE";
-        PortableTrackingSpec track;
+        TrackingJobSpec track;
         track.reader_id = 7 + i;
         track.initial_population = 8000;
-        track.schedule.push_back({3, 0.05, 100.0});
+        track.schedule.push_back({3, {0.05, 100.0}});
         spec.tracking = track;
         break;
       }
@@ -362,10 +362,10 @@ ServiceSnapshot fabricated_snapshot() {
   track_spec.estimator = "BFCE";
   track_spec.seed = 44;
   track_spec.population.kind = PortablePopulation::Kind::kNone;
-  PortableTrackingSpec ts;
+  TrackingJobSpec ts;
   ts.reader_id = 9;
   ts.initial_population = 8000;
-  ts.schedule.push_back({3, 0.05, 100.0});
+  ts.schedule.push_back({3, {0.05, 100.0}});
   track_spec.tracking = ts;
   snap.pending.emplace_back(4, track_spec);
   std::sort(snap.pending.begin(), snap.pending.end(),
@@ -440,11 +440,11 @@ TEST(Portable, ValidationRejectsBadSpecs) {
   bad.population.kind = PortablePopulation::Kind::kNone;
   EXPECT_NE(validate_portable_job(bad), nullptr);
   bad = good;
-  bad.tracking = PortableTrackingSpec{};  // empty schedule
+  bad.tracking = TrackingJobSpec{};  // empty schedule
   EXPECT_NE(validate_portable_job(bad), nullptr);
   bad = good;
-  PortableTrackingSpec ts;
-  ts.schedule.push_back({0, 0.1, 10.0});  // zero rounds
+  TrackingJobSpec ts;
+  ts.schedule.push_back({0, {0.1, 10.0}});  // zero rounds
   bad.tracking = ts;
   EXPECT_NE(validate_portable_job(bad), nullptr);
 }
