@@ -34,16 +34,17 @@
 #      build — the seeded Clopper–Pearson sweep of tests/
 #      conformance_test.cpp. Also works against a tsan build dir:
 #      `ctest --test-dir build-tsan -L conformance`.
-#   5. Opt-in (--perf-smoke): reruns `micro_frame --baseline` in the
-#      release build and fails if a gated column — the sequential
-#      engine/sampled/aloha_tags_per_s — is missing from either file or
-#      regresses more than 30% at any n against the committed
-#      BENCH_frame.json. The sharded columns stay informational: their
-#      absolute numbers depend on core count and AVX-512. Then replays
-#      the committed BENCH_service.json workload through fleet_service
-#      and fails if throughput collapses below 0.5x of the committed
-#      baseline (or if the cached pass ever diverges from the uncached
-#      one).
+#   5. Opt-in (--perf-smoke): runs `micro_frame --baseline` three times
+#      in the release build (build-release/BENCH_frame.run{1,2,3}.json)
+#      and fails if a gated column — the sequential
+#      engine/sampled/aloha_tags_per_s — is missing from any file or if
+#      its median of the three regresses more than 30% at any n against
+#      the committed BENCH_frame.json. The sharded columns are printed as
+#      median ratios, ungated: their absolute numbers depend on core
+#      count and AVX-512. Then replays the committed BENCH_service.json
+#      workload through fleet_service and fails if throughput collapses
+#      below 0.5x of the committed baseline (or if the cached pass ever
+#      diverges from the uncached one).
 #   6. bench_e2e smoke: every workload of the end-to-end wire benchmark
 #      for 2 s (bench_e2e/README.md). Each run exits non-zero unless
 #      every submit is answered, the replayed jobs are bit-identical and
@@ -147,57 +148,80 @@ if [ "${perf_smoke}" -eq 1 ]; then
     cmake --build --preset release -j "${jobs}"
   fi
   cmake --build --preset release -j "${jobs}" --target micro_frame
-  (cd "build-release" && timeout 300 ./bench/micro_frame --baseline)
+  # One --baseline run spreads 1.3-2.0x per gated cell on a shared VM, so
+  # the gate reads the median of three runs, each kept as its own file.
+  frame_runs=()
+  for run in 1 2 3; do
+    (cd "build-release" && timeout 300 ./bench/micro_frame --baseline)
+    mv build-release/BENCH_frame.json "build-release/BENCH_frame.run${run}.json"
+    frame_runs+=("build-release/BENCH_frame.run${run}.json")
+  done
   # Gate on the sequential columns: the exact-mode Bloom and ALOHA walks
-  # and the sampled-mode executors must each stay within 30% of the
-  # committed baseline at every n. (The sharded and legacy columns are
-  # informational — their ratios shift with core count and ISA, and
-  # legacy only regresses if the reference does.)
-  python3 - BENCH_frame.json build-release/BENCH_frame.json <<'EOF'
-import json, sys
+  # and the sampled-mode executors must each keep their median within
+  # 30% of the committed baseline at every n. The sharded columns, the
+  # ones util::Executor moves, are printed as median ratios but not
+  # gated: their absolute numbers depend on core count and AVX-512.
+  python3 - BENCH_frame.json "${frame_runs[@]}" <<'EOF'
+import json, statistics, sys
 
-with open(sys.argv[1]) as f:
+committed_path, fresh_paths = sys.argv[1], sys.argv[2:]
+with open(committed_path) as f:
     committed = {p["n"]: p for p in json.load(f)["points"]}
-with open(sys.argv[2]) as f:
-    fresh = {p["n"]: p for p in json.load(f)["points"]}
+fresh = []
+for path in fresh_paths:
+    with open(path) as f:
+        fresh.append((path, {p["n"]: p for p in json.load(f)["points"]}))
 
 # The sequential walks exist on every host. A gated column missing from
-# either file fails the gate: a rename the committed file does not follow
+# any file fails the gate: a rename the committed file does not follow
 # would otherwise pass without checking anything.
 GATED = (
     "engine_tags_per_s",
     "sampled_tags_per_s",
     "aloha_tags_per_s",
 )
+SHOWN = (
+    "sharded_tags_per_s",
+    "sampled_sharded_tags_per_s",
+    "aloha_sharded_tags_per_s",
+)
 failed = False
 for n, base in sorted(committed.items()):
-    if n not in fresh:
-        print(f"FAIL: {sys.argv[2]} has no point for n={n}")
-        failed = True
+    runs = []
+    for path, points in fresh:
+        if n in points:
+            runs.append((path, points[n]))
+        else:
+            print(f"FAIL: {path} has no point for n={n}")
+            failed = True
+    if len(runs) != len(fresh):
         continue
-    for column in GATED:
-        missing = [path for path, point in ((sys.argv[1], base),
-                                            (sys.argv[2], fresh[n]))
+    for column in GATED + SHOWN:
+        gated = column in GATED
+        missing = [path for path, point in [(committed_path, base)] + runs
                    if column not in point]
         for path in missing:
-            print(f"FAIL: {path} has no {column} at n={n}")
+            print(f"{'FAIL' if gated else 'note'}: {path} has no {column} "
+                  f"at n={n}")
         if missing:
-            failed = True
+            failed = failed or gated
             continue
         old = base[column]
-        new = fresh[n][column]
+        values = [point[column] for _, point in runs]
+        new = statistics.median(values)
         ratio = new / old if old > 0 else float("inf")
-        status = "ok" if ratio >= 0.7 else "REGRESSION"
-        print(f"n={n:>9,}: {column} {old:.3e} -> {new:.3e} tags/s "
-              f"({ratio:.2f}x) {status}")
-        if ratio < 0.7:
+        status = ("ok" if ratio >= 0.7 else "REGRESSION") if gated else "info"
+        runs_text = " ".join(f"{v / old:.2f}x" for v in values)
+        print(f"n={n:>9,}: {column} {old:.3e} -> median {new:.3e} tags/s "
+              f"({ratio:.2f}x; runs {runs_text}) {status}")
+        if gated and ratio < 0.7:
             failed = True
 if failed:
-    print("FAIL: a gated throughput column is missing or regressed more "
-          "than 30% against the committed BENCH_frame.json")
+    print("FAIL: a gated throughput column is missing or its median "
+          "regressed more than 30% against the committed BENCH_frame.json")
     sys.exit(1)
-print("perf smoke: sequential engine, sampled and aloha throughput within "
-      "30% of baseline")
+print("perf smoke: sequential engine, sampled and aloha median throughput "
+      "within 30% of baseline")
 EOF
   echo "==== perf smoke: service throughput ========================"
   if [ ! -f BENCH_service.json ]; then
