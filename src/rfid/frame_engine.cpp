@@ -271,10 +271,9 @@ std::vector<FrameResult> run_sharded_frames(
 
   // Plane storage is sized but NOT zeroed here: each shard zero-fills
   // its own slice inside the parallel region, so the first touch of a
-  // cold page — and with it its NUMA placement — lands on the worker
-  // that owns the shard's tag range. The executor hands shard s to the
-  // same initial lane on every dispatch, so warm re-dispatches keep the
-  // affinity.
+  // cold page lands on the participant that renders the shard's tag
+  // range. Which thread takes shard s can change from one dispatch to
+  // the next.
   const std::size_t total_words =
       static_cast<std::size_t>(shard_count) * words_stride;
   if (shard_bits.size() < total_words) shard_bits.resize(total_words);

@@ -1,4 +1,4 @@
-// A blocking join inside a dispatched lambda: the worker lane running
+// A blocking join inside a dispatched lambda: the worker thread running
 // the lambda stalls until some other thread finishes — and deadlocks
 // outright if that thread is waiting for this dispatch to drain.
 #include <cstddef>

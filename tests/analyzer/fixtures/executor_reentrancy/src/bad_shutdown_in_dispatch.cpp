@@ -1,6 +1,6 @@
 // Tearing down the executor from inside one of its own workers: the
 // zero-argument shutdown() joins every worker thread, including the
-// lane executing this lambda — a self-join.
+// thread executing this lambda — a self-join.
 #include <cstddef>
 #include "util/executor.hpp"
 #include "util/parallel.hpp"

@@ -1,5 +1,5 @@
 // A condition-variable wait inside a dispatched lambda parks the
-// worker lane until someone signals — with a one-lane pool (or when
+// worker thread until someone signals — with a one-worker pool (or when
 // the signaller is queued behind this dispatch) nobody ever does.
 #include <condition_variable>
 #include <cstddef>

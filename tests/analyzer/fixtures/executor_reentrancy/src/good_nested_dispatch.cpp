@@ -1,6 +1,6 @@
 // Nested parallel_for inside a dispatched lambda is the sanctioned
-// path: the executor is nesting-safe (the inner dispatch runs inline
-// on the worker's own lane), so this must stay quiet.
+// path: the executor is nesting-safe (the worker takes the inner
+// dispatch's indices itself), so this must stay quiet.
 #include <cstddef>
 #include "util/parallel.hpp"
 

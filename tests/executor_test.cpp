@@ -213,7 +213,7 @@ TEST(Executor, ShutdownWhileBusyCompletesTheRun) {
         4);
   });
   // Let the run get going, then yank the pool out from under it: workers
-  // finish their current index and exit, the caller drains the rest.
+  // leave once no index is untaken and exit, and the run still completes.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   Executor::instance().shutdown();
   runner.join();

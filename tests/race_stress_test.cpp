@@ -325,10 +325,10 @@ TEST(RaceStress, SampledZoeSweepUnderShardedServiceWorkers) {
 // The persistent executor's reuse seams: two service generations run
 // sharded jobs through the ONE process-wide pool back to back while a
 // chaos thread repeatedly calls Executor::shutdown() — exercising the
-// documented mid-run join ("workers finish their current index and
-// exit; the run() caller drains the rest itself") and the lazy respawn
-// on the next dispatch. TSan watches the park/wake cv, the lane CAS
-// discipline and the join/respawn handoff; the assertions check that
+// documented mid-run join ("workers leave once that job has no untaken
+// index and exit; the run() caller completes normally") and the lazy
+// respawn on the next dispatch. TSan watches the park/wake cv, the index
+// cursor and the join/respawn handoff; the assertions check that
 // results stay bit-identical across generations and pool lifecycles,
 // and that every job still completes (liveness through shutdown storms).
 TEST(RaceStress, ExecutorReuseUnderServiceStorm) {

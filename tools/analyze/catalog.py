@@ -35,7 +35,7 @@ RULES: list[RuleInfo] = [
     RuleInfo("executor-reentrancy", "executor-reentrancy",
              "no blocking join (thread join, condition-variable wait, "
              "pool shutdown) inside a lambda dispatched onto the worker "
-             "pool — it stalls or deadlocks the lane; nested "
+             "pool — it stalls or deadlocks the worker; nested "
              "parallel_for is the sanctioned nesting-safe path"),
     # -- Counter-addressed draw discipline (semantic) ----------------------
     RuleInfo("caller-draw-in-shard", "draw-discipline",

@@ -1,11 +1,11 @@
 """Executor-reentrancy rule.
 
 util::parallel_for is nesting-safe by design: a dispatched lambda may
-freely call parallel_for again — the inner dispatch runs inline on the
-worker's own lane (src/util/executor.hpp documents the contract). What
+freely call parallel_for again — the worker takes the inner dispatch's
+indices itself (src/util/executor.hpp documents the contract). What
 a dispatched lambda must NOT do is *block on a join*: joining a thread,
 waiting on a condition variable, or tearing down the pool
-(`Executor::shutdown()`) from inside a worker stalls the lane the
+(`Executor::shutdown()`) from inside a worker stalls the thread the
 lambda occupies and can deadlock the pool against itself (a worker
 joining the team it is part of never returns). The sanctioned path for
 nested parallelism is the nesting-safe dispatch API itself, and any
@@ -87,7 +87,7 @@ def run(repo: Repo, scanned: set[str]) -> list[Finding]:
                         line=call.line, col=1,
                         message=(f"blocking '{kind}' inside a lambda "
                                  "dispatched onto the worker pool stalls "
-                                 "(or deadlocks) the lane it occupies; "
+                                 "(or deadlocks) the thread it occupies; "
                                  "hoist the join out of the parallel "
                                  "region — nested parallel_for is the "
                                  "sanctioned path for nested work")))

@@ -31,7 +31,7 @@ NOW_ALLOWLIST = {
 # Directories whose files may construct raw std::thread.
 THREAD_ALLOWLIST_PREFIXES = (
     "src/service/",       # the worker pool
-    "src/util/executor",  # the persistent work-stealing pool
+    "src/util/executor",  # the persistent worker pool
     "src/util/parallel",  # parallel_for's dispatch front-end
 )
 
